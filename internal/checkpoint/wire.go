@@ -1,16 +1,13 @@
 package checkpoint
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 
 	"res/internal/coredump"
 	"res/internal/isa"
 	"res/internal/mem"
 	"res/internal/vm"
+	"res/internal/wire"
 )
 
 // Wire form: "RESCKPT1" magic, then the ring in a canonical varint
@@ -34,81 +31,30 @@ const (
 	maxMemSize     = 1 << 28
 )
 
-type encoder struct {
-	buf     bytes.Buffer
-	scratch [binary.MaxVarintLen64]byte
-}
-
-func (e *encoder) uvarint(v uint64) {
-	n := binary.PutUvarint(e.scratch[:], v)
-	e.buf.Write(e.scratch[:n])
-}
-
-func (e *encoder) varint(v int64) {
-	n := binary.PutVarint(e.scratch[:], v)
-	e.buf.Write(e.scratch[:n])
-}
-
-type decoder struct {
-	r   *bytes.Reader
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.err = err
-		return 0
-	}
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(d.r)
-	if err != nil {
-		d.err = err
-		return 0
-	}
-	return v
-}
-
 // Encode renders the ring in canonical wire form. An empty ring encodes
 // to nil.
 func (r *Ring) Encode() []byte {
 	if r.Empty() {
 		return nil
 	}
-	e := &encoder{}
-	e.buf.WriteString(wireMagic)
-	e.uvarint(r.Interval)
+	e := wire.NewEncoder(wireMagic)
+	e.Uvarint(r.Interval)
 	memSize := uint64(0)
 	if len(r.Checkpoints) > 0 {
 		memSize = uint64(r.Checkpoints[0].Mem.Size())
 	}
-	e.uvarint(memSize)
-	e.uvarint(uint64(len(r.Checkpoints)))
+	e.Uvarint(memSize)
+	e.Uvarint(uint64(len(r.Checkpoints)))
 	for _, c := range r.Checkpoints {
-		e.uvarint(c.Step)
-		e.uvarint(uint64(len(c.Threads)))
+		e.Uvarint(c.Step)
+		e.Uvarint(uint64(len(c.Threads)))
 		for _, t := range c.Threads {
 			for reg := 0; reg < isa.NumRegs; reg++ {
-				e.varint(t.Regs[reg])
+				e.Varint(t.Regs[reg])
 			}
-			e.uvarint(uint64(t.PC))
-			e.uvarint(uint64(t.State))
-			e.uvarint(uint64(t.WaitAddr))
+			e.Uvarint(uint64(t.PC))
+			e.Uvarint(uint64(t.State))
+			e.Uvarint(uint64(t.WaitAddr))
 		}
 		addrs := make([]uint32, 0, len(c.Locks))
 		for a := range c.Locks {
@@ -119,24 +65,24 @@ func (r *Ring) Encode() []byte {
 				addrs[j], addrs[j-1] = addrs[j-1], addrs[j]
 			}
 		}
-		e.uvarint(uint64(len(addrs)))
+		e.Uvarint(uint64(len(addrs)))
 		for _, a := range addrs {
-			e.uvarint(uint64(a))
-			e.uvarint(uint64(c.Locks[a]))
+			e.Uvarint(uint64(a))
+			e.Uvarint(uint64(c.Locks[a]))
 		}
-		e.uvarint(uint64(len(c.Heap)))
+		e.Uvarint(uint64(len(c.Heap)))
 		for _, h := range c.Heap {
-			e.uvarint(uint64(h.Base))
-			e.uvarint(uint64(h.Size))
-			e.varint(int64(h.AllocPC))
-			e.varint(int64(h.FreePC))
+			e.Uvarint(uint64(h.Base))
+			e.Uvarint(uint64(h.Size))
+			e.Varint(int64(h.AllocPC))
+			e.Varint(int64(h.FreePC))
 			freed := uint64(0)
 			if h.Freed {
 				freed = 1
 			}
-			e.uvarint(freed)
+			e.Uvarint(freed)
 		}
-		e.uvarint(uint64(c.HeapNext))
+		e.Uvarint(uint64(c.HeapNext))
 		words := c.Mem.Words()
 		pairs := 0
 		for _, w := range words {
@@ -144,27 +90,27 @@ func (r *Ring) Encode() []byte {
 				pairs++
 			}
 		}
-		e.uvarint(uint64(pairs))
+		e.Uvarint(uint64(pairs))
 		for a, w := range words {
 			if w != 0 {
-				e.uvarint(uint64(a))
-				e.varint(w)
+				e.Uvarint(uint64(a))
+				e.Varint(w)
 			}
 		}
 	}
-	e.uvarint(r.LogBase)
-	e.uvarint(uint64(len(r.Sched)))
+	e.Uvarint(r.LogBase)
+	e.Uvarint(uint64(len(r.Sched)))
 	for _, s := range r.Sched {
-		e.varint(int64(s.Tid))
-		e.varint(int64(s.Block))
+		e.Varint(int64(s.Tid))
+		e.Varint(int64(s.Block))
 	}
-	e.uvarint(uint64(len(r.Inputs)))
+	e.Uvarint(uint64(len(r.Inputs)))
 	for _, in := range r.Inputs {
-		e.uvarint(in.Step)
-		e.varint(in.Channel)
-		e.varint(in.Value)
+		e.Uvarint(in.Step)
+		e.Varint(in.Channel)
+		e.Varint(in.Value)
 	}
-	return e.buf.Bytes()
+	return e.Bytes()
 }
 
 // Decode parses wire-form checkpoint bytes. Empty input decodes to a nil
@@ -173,137 +119,110 @@ func Decode(b []byte) (*Ring, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	if len(b) < len(wireMagic) || string(b[:len(wireMagic)]) != wireMagic {
-		return nil, fmt.Errorf("checkpoint: bad magic")
+	d := wire.NewDecoder(b, wireMagic)
+	r := &Ring{Interval: d.Uvarint()}
+	memSize := d.Count("memory size", maxMemSize)
+	if d.Err() == nil && r.Interval == 0 {
+		d.Fail("zero interval")
 	}
-	d := &decoder{r: bytes.NewReader(b[len(wireMagic):])}
-	r := &Ring{Interval: d.uvarint()}
-	memSize := d.uvarint()
-	if d.err == nil && memSize > maxMemSize {
-		d.fail("unreasonable memory size %d", memSize)
+	nCks := d.Count("checkpoint count", maxCheckpoints)
+	if nCks == 0 && memSize != 0 {
+		d.Fail("memory size without checkpoints")
 	}
-	if d.err == nil && r.Interval == 0 {
-		d.fail("zero interval")
-	}
-	nCks := d.uvarint()
-	if d.err == nil && nCks > maxCheckpoints {
-		d.fail("unreasonable checkpoint count %d", nCks)
-	}
-	if d.err == nil && nCks == 0 && memSize != 0 {
-		d.fail("memory size without checkpoints")
-	}
-	for i := uint64(0); i < nCks && d.err == nil; i++ {
-		c := &Checkpoint{Step: d.uvarint(), Locks: map[uint32]int{}}
-		nThreads := d.uvarint()
-		if d.err == nil && (nThreads == 0 || nThreads > maxThreads) {
-			d.fail("checkpoint %d: bad thread count %d", i, nThreads)
+	for i := 0; i < nCks && d.Err() == nil; i++ {
+		c := &Checkpoint{Step: d.Uvarint(), Locks: map[uint32]int{}}
+		nThreads := d.Count("thread count", maxThreads)
+		if nThreads == 0 {
+			d.Fail("checkpoint %d: no threads", i)
 		}
-		for id := uint64(0); id < nThreads && d.err == nil; id++ {
-			t := vm.Thread{ID: int(id)}
+		for id := 0; id < nThreads && d.Err() == nil; id++ {
+			t := vm.Thread{ID: id}
 			for reg := 0; reg < isa.NumRegs; reg++ {
-				t.Regs[reg] = d.varint()
+				t.Regs[reg] = d.Varint()
 			}
-			t.PC = int(d.uvarint())
-			t.State = coredump.ThreadState(d.uvarint())
-			t.WaitAddr = uint32(d.uvarint())
+			t.PC = int(d.Uvarint())
+			t.State = coredump.ThreadState(d.Uvarint())
+			t.WaitAddr = uint32(d.Uvarint())
 			c.Threads = append(c.Threads, t)
 		}
-		nLocks := d.uvarint()
-		if d.err == nil && nLocks > maxLocks {
-			d.fail("checkpoint %d: unreasonable lock count %d", i, nLocks)
-		}
+		nLocks := d.Count("lock count", maxLocks)
 		prevAddr := int64(-1)
-		for j := uint64(0); j < nLocks && d.err == nil; j++ {
-			a := d.uvarint()
-			owner := d.uvarint()
-			if d.err != nil {
+		for j := 0; j < nLocks && d.Err() == nil; j++ {
+			a := d.Uvarint()
+			owner := d.Uvarint()
+			if d.Err() != nil {
 				break
 			}
 			if int64(a) <= prevAddr {
-				d.fail("checkpoint %d: locks not sorted", i)
+				d.Fail("checkpoint %d: locks not sorted", i)
 				break
 			}
-			if a > uint64(^uint32(0)) || owner >= nThreads {
-				d.fail("checkpoint %d: bad lock record", i)
+			if a > uint64(^uint32(0)) || owner >= uint64(nThreads) {
+				d.Fail("checkpoint %d: bad lock record", i)
 				break
 			}
 			prevAddr = int64(a)
 			c.Locks[uint32(a)] = int(owner)
 		}
-		nHeap := d.uvarint()
-		if d.err == nil && nHeap > maxHeap {
-			d.fail("checkpoint %d: unreasonable heap count %d", i, nHeap)
-		}
-		for j := uint64(0); j < nHeap && d.err == nil; j++ {
+		nHeap := d.Count("heap count", maxHeap)
+		for j := 0; j < nHeap && d.Err() == nil; j++ {
 			c.Heap = append(c.Heap, coredump.HeapObject{
-				Base:    uint32(d.uvarint()),
-				Size:    uint32(d.uvarint()),
-				AllocPC: int(d.varint()),
-				FreePC:  int(d.varint()),
-				Freed:   d.uvarint() != 0,
+				Base:    uint32(d.Uvarint()),
+				Size:    uint32(d.Uvarint()),
+				AllocPC: int(d.Varint()),
+				FreePC:  int(d.Varint()),
+				Freed:   d.Uvarint() != 0,
 			})
 		}
-		c.HeapNext = uint32(d.uvarint())
-		nPairs := d.uvarint()
-		if d.err == nil && (nPairs > maxMemPairs || nPairs > memSize) {
-			d.fail("checkpoint %d: unreasonable memory pair count %d", i, nPairs)
-		}
-		if d.err == nil {
+		c.HeapNext = uint32(d.Uvarint())
+		nPairs := d.Count("memory pair count", min(maxMemPairs, memSize))
+		if d.Err() == nil {
 			c.Mem = mem.NewImage(uint32(memSize))
-			prev := int64(-1)
-			for j := uint64(0); j < nPairs && d.err == nil; j++ {
-				a := d.uvarint()
-				v := d.varint()
-				if d.err != nil {
+			prev := -1
+			for j := 0; j < nPairs && d.Err() == nil; j++ {
+				a := d.Uvarint()
+				v := d.Varint()
+				if d.Err() != nil {
 					break
 				}
-				if int64(a) <= prev || a >= memSize {
-					d.fail("checkpoint %d: memory pairs not sorted or out of range", i)
+				if a >= uint64(memSize) || int(a) <= prev {
+					d.Fail("checkpoint %d: memory pairs not sorted or out of range", i)
 					break
 				}
 				if v == 0 {
-					d.fail("checkpoint %d: zero memory pair (not canonical)", i)
+					d.Fail("checkpoint %d: zero memory pair (not canonical)", i)
 					break
 				}
-				prev = int64(a)
+				prev = int(a)
 				c.Mem.Store(uint32(a), v)
 			}
 		}
 		r.Checkpoints = append(r.Checkpoints, c)
 	}
-	r.LogBase = d.uvarint()
-	nSched := d.uvarint()
-	if d.err == nil && nSched > maxSchedRecs {
-		d.fail("unreasonable schedule length %d", nSched)
-	}
-	for i := uint64(0); i < nSched && d.err == nil; i++ {
-		tid := d.varint()
-		block := d.varint()
-		if d.err != nil {
+	r.LogBase = d.Uvarint()
+	nSched := d.Count("schedule length", maxSchedRecs)
+	for i := 0; i < nSched && d.Err() == nil; i++ {
+		tid := d.Varint()
+		block := d.Varint()
+		if d.Err() != nil {
 			break
 		}
 		if tid < 0 || tid >= maxThreads || block < 0 {
-			d.fail("schedule record %d: bad tid/block", i)
+			d.Fail("schedule record %d: bad tid/block", i)
 			break
 		}
 		r.Sched = append(r.Sched, SchedRec{Tid: int(tid), Block: int(block)})
 	}
-	nInputs := d.uvarint()
-	if d.err == nil && nInputs > maxInputRecs {
-		d.fail("unreasonable input count %d", nInputs)
-	}
-	for i := uint64(0); i < nInputs && d.err == nil; i++ {
+	nInputs := d.Count("input count", maxInputRecs)
+	for i := 0; i < nInputs && d.Err() == nil; i++ {
 		r.Inputs = append(r.Inputs, InputRec{
-			Step:    d.uvarint(),
-			Channel: d.varint(),
-			Value:   d.varint(),
+			Step:    d.Uvarint(),
+			Channel: d.Varint(),
+			Value:   d.Varint(),
 		})
 	}
-	if d.err == nil && d.r.Len() != 0 {
-		d.fail("trailing bytes")
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", d.err)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	if r.Empty() {
 		return nil, fmt.Errorf("checkpoint: empty ring encoded non-canonically")
@@ -322,6 +241,5 @@ func (r *Ring) Fingerprint() string {
 	if len(b) == 0 {
 		return ""
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return wire.Fingerprint(b)
 }

@@ -141,15 +141,11 @@ func SplitDumpFile(path string) (dump, evidence, checkpoints []byte, err error) 
 
 // SaveDump writes a coredump to a file.
 func SaveDump(path string, d *coredump.Dump) error {
-	f, err := os.Create(path)
+	b, err := d.Marshal()
 	if err != nil {
 		return err
 	}
-	if err := d.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, b, 0o666)
 }
 
 // Fatal prints an error and exits non-zero.

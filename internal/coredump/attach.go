@@ -1,11 +1,10 @@
 package coredump
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"io"
 	"sort"
+
+	"res/internal/wire"
 )
 
 // Attachment container: a dump plus named opaque attachments (evidence
@@ -16,107 +15,60 @@ import (
 // the analysis cache key instead.
 const attachMagic = "RESDATT1"
 
-// maxAttachment bounds one attachment's size (decode hardening).
-const maxAttachment = 1 << 26
+// Decode hardening bounds: one attachment's size, the attachment count,
+// and a name's length.
+const (
+	maxAttachment  = 1 << 26
+	maxAttachments = 1 << 8
+	maxName        = 1 << 20
+)
 
-// WriteAttached serializes a dump-with-attachments container: the
+// EncodeAttached serializes a dump-with-attachments container: the
 // serialized dump followed by the attachments in sorted-name order (the
 // canonical form).
-func WriteAttached(w io.Writer, dump []byte, attachments map[string][]byte) error {
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, attachMagic); err != nil {
-		return err
-	}
-	e := &encoder{w: bw}
-	e.uvarint(uint64(len(dump)))
-	if e.err == nil {
-		_, e.err = bw.Write(dump)
-	}
+func EncodeAttached(dump []byte, attachments map[string][]byte) ([]byte, error) {
+	e := wire.NewEncoder(attachMagic)
+	e.Blob(dump)
 	names := make([]string, 0, len(attachments))
 	for name := range attachments {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	e.uvarint(uint64(len(names)))
+	e.Uvarint(uint64(len(names)))
 	for _, name := range names {
-		e.str(name)
-		e.uvarint(uint64(len(attachments[name])))
-		if e.err == nil {
-			_, e.err = bw.Write(attachments[name])
-		}
+		e.Str(name)
+		e.Blob(attachments[name])
 	}
-	if e.err != nil {
-		return e.err
-	}
-	return bw.Flush()
-}
-
-// EncodeAttached is WriteAttached to bytes.
-func EncodeAttached(dump []byte, attachments map[string][]byte) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := WriteAttached(&buf, dump, attachments); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return e.Bytes(), nil
 }
 
 // DecodeAttached splits a container into the dump bytes and the
 // attachment map. A plain dump (RESDUMP1 magic) passes through with nil
 // attachments, so every consumer of dump files accepts both forms.
 func DecodeAttached(b []byte) (dump []byte, attachments map[string][]byte, err error) {
-	if len(b) < len(attachMagic) {
-		return nil, nil, fmt.Errorf("coredump: short input")
-	}
-	if string(b[:len(dumpMagic)]) == dumpMagic {
+	if len(b) >= len(dumpMagic) && string(b[:len(dumpMagic)]) == dumpMagic {
 		return b, nil, nil
 	}
-	if string(b[:len(attachMagic)]) != attachMagic {
-		return nil, nil, fmt.Errorf("coredump: bad magic %q", b[:len(attachMagic)])
-	}
-	br := bufio.NewReader(bytes.NewReader(b[len(attachMagic):]))
-	dec := &decoder{r: br}
-	readBlob := func(what string) []byte {
-		n := dec.uvarint()
-		if dec.err != nil {
-			return nil
-		}
-		if n > maxAttachment {
-			dec.err = fmt.Errorf("%s too long (%d)", what, n)
-			return nil
-		}
-		blob := make([]byte, n)
-		if _, err := io.ReadFull(br, blob); err != nil {
-			dec.err = err
-			return nil
-		}
-		return blob
-	}
-	dump = readBlob("dump")
-	n := dec.uvarint()
-	const maxAttachments = 1 << 8
-	if dec.err == nil && n > maxAttachments {
-		dec.err = fmt.Errorf("unreasonable attachment count %d", n)
-	}
-	for i := uint64(0); i < n && dec.err == nil; i++ {
-		name := dec.str()
-		blob := readBlob("attachment " + name)
-		if dec.err != nil {
+	dec := wire.NewDecoder(b, attachMagic)
+	dump = dec.Blob("dump length", maxAttachment)
+	n := dec.Count("attachment count", maxAttachments)
+	for i := 0; i < n && dec.Err() == nil; i++ {
+		name := dec.Str("attachment name length", maxName)
+		blob := dec.Blob("attachment length", maxAttachment)
+		if dec.Err() != nil {
 			break
 		}
 		if attachments == nil {
 			attachments = make(map[string][]byte, n)
 		}
 		if _, dup := attachments[name]; dup {
-			dec.err = fmt.Errorf("duplicate attachment %q", name)
+			dec.Fail("duplicate attachment %q", name)
 			break
 		}
 		attachments[name] = blob
 	}
-	if dec.err != nil {
-		return nil, nil, fmt.Errorf("coredump: attachments: %w", dec.err)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, nil, fmt.Errorf("coredump: attachments: trailing bytes")
+	if err := dec.Finish(); err != nil {
+		return nil, nil, fmt.Errorf("coredump: attachments: %w", err)
 	}
 	return dump, attachments, nil
 }
@@ -134,17 +86,9 @@ func DecodeAttachedLenient(b []byte) (dump []byte, attachments map[string][]byte
 	if err == nil {
 		return dump, attachments, "", nil
 	}
-	if len(b) < len(attachMagic) || string(b[:len(attachMagic)]) != attachMagic {
-		return nil, nil, "", err
-	}
-	br := bufio.NewReader(bytes.NewReader(b[len(attachMagic):]))
-	dec := &decoder{r: br}
-	n := dec.uvarint()
-	if dec.err != nil || n > maxAttachment {
-		return nil, nil, "", err
-	}
-	blob := make([]byte, n)
-	if _, rerr := io.ReadFull(br, blob); rerr != nil {
+	dec := wire.NewDecoder(b, attachMagic)
+	blob := dec.Blob("dump length", maxAttachment)
+	if dec.Err() != nil {
 		return nil, nil, "", err
 	}
 	return blob, nil, fmt.Sprintf("attachments dropped (%v)", err), nil

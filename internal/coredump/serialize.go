@@ -1,266 +1,151 @@
 package coredump
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 
 	"res/internal/isa"
 	"res/internal/mem"
+	"res/internal/wire"
 )
 
 const dumpMagic = "RESDUMP1"
 
-type encoder struct {
-	w       io.Writer
-	scratch [binary.MaxVarintLen64]byte
-	err     error
-}
+// Decode hardening bounds.
+const (
+	maxDetail  = 1 << 20
+	maxThreads = 1 << 12
+	maxLocks   = 1 << 24
+	maxHeap    = 1 << 24
+	maxOut     = 1 << 24
+	maxLBR     = 1 << 16
+)
 
-func (e *encoder) uvarint(v uint64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutUvarint(e.scratch[:], v)
-	_, e.err = e.w.Write(e.scratch[:n])
-}
+// Marshal returns the dump's canonical bytes: locks in address order and
+// the memory image in its positional run-length form. It never fails.
+func (d *Dump) Marshal() ([]byte, error) {
+	e := wire.NewEncoder(dumpMagic)
 
-func (e *encoder) varint(v int64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutVarint(e.scratch[:], v)
-	_, e.err = e.w.Write(e.scratch[:n])
-}
+	e.Uvarint(uint64(d.Fault.Kind))
+	e.Varint(int64(d.Fault.Thread))
+	e.Varint(int64(d.Fault.PC))
+	e.Uvarint(uint64(d.Fault.Addr))
+	e.Str(d.Fault.Detail)
+	e.Uvarint(d.Steps)
 
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	if e.err != nil {
-		return
-	}
-	_, e.err = io.WriteString(e.w, s)
-}
-
-type decoder struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.r)
-	d.err = err
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(d.r)
-	d.err = err
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	const maxStr = 1 << 20
-	if n > maxStr {
-		d.err = fmt.Errorf("coredump: string too long (%d)", n)
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.err = err
-		return ""
-	}
-	return string(b)
-}
-
-// Write serializes the dump to w.
-func (d *Dump) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, dumpMagic); err != nil {
-		return err
-	}
-	e := &encoder{w: bw}
-
-	e.uvarint(uint64(d.Fault.Kind))
-	e.varint(int64(d.Fault.Thread))
-	e.varint(int64(d.Fault.PC))
-	e.uvarint(uint64(d.Fault.Addr))
-	e.str(d.Fault.Detail)
-	e.uvarint(d.Steps)
-
-	e.uvarint(uint64(len(d.Threads)))
+	e.Uvarint(uint64(len(d.Threads)))
 	for _, t := range d.Threads {
-		e.varint(int64(t.ID))
+		e.Varint(int64(t.ID))
 		for _, r := range t.Regs {
-			e.varint(r)
+			e.Varint(r)
 		}
-		e.varint(int64(t.PC))
-		e.uvarint(uint64(t.State))
-		e.uvarint(uint64(t.WaitAddr))
+		e.Varint(int64(t.PC))
+		e.Uvarint(uint64(t.State))
+		e.Uvarint(uint64(t.WaitAddr))
 	}
 
-	// Locks in deterministic order.
 	addrs := make([]uint32, 0, len(d.Locks))
 	for a := range d.Locks {
 		addrs = append(addrs, a)
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	e.uvarint(uint64(len(addrs)))
+	e.Uvarint(uint64(len(addrs)))
 	for _, a := range addrs {
-		e.uvarint(uint64(a))
-		e.varint(int64(d.Locks[a]))
+		e.Uvarint(uint64(a))
+		e.Varint(int64(d.Locks[a]))
 	}
 
-	e.uvarint(uint64(len(d.Heap)))
+	e.Uvarint(uint64(len(d.Heap)))
 	for _, h := range d.Heap {
-		e.uvarint(uint64(h.Base))
-		e.uvarint(uint64(h.Size))
+		e.Uvarint(uint64(h.Base))
+		e.Uvarint(uint64(h.Size))
+		freed := uint64(0)
 		if h.Freed {
-			e.uvarint(1)
-		} else {
-			e.uvarint(0)
+			freed = 1
 		}
-		e.varint(int64(h.AllocPC))
-		e.varint(int64(h.FreePC))
+		e.Uvarint(freed)
+		e.Varint(int64(h.AllocPC))
+		e.Varint(int64(h.FreePC))
 	}
 
-	e.uvarint(uint64(len(d.Outputs)))
+	e.Uvarint(uint64(len(d.Outputs)))
 	for _, o := range d.Outputs {
-		e.varint(int64(o.PC))
-		e.varint(o.Tag)
-		e.varint(o.Value)
+		e.Varint(int64(o.PC))
+		e.Varint(o.Tag)
+		e.Varint(o.Value)
 	}
 
-	e.uvarint(uint64(len(d.LBR)))
+	e.Uvarint(uint64(len(d.LBR)))
 	for _, b := range d.LBR {
-		e.varint(int64(b.From))
-		e.varint(int64(b.To))
+		e.Varint(int64(b.From))
+		e.Varint(int64(b.To))
 	}
-	if e.err != nil {
-		return e.err
-	}
-	if _, err := d.Mem.WriteTo(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
+	d.Mem.Encode(e)
+	return e.Bytes(), nil
 }
 
-// Read deserializes a dump written by Write.
-func Read(r io.Reader) (*Dump, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(dumpMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("coredump: reading magic: %w", err)
-	}
-	if string(magic) != dumpMagic {
-		return nil, fmt.Errorf("coredump: bad magic %q", magic)
-	}
-	dec := &decoder{r: br}
+// Unmarshal parses a dump from the bytes Marshal writes.
+func Unmarshal(b []byte) (*Dump, error) {
+	dec := wire.NewDecoder(b, dumpMagic)
 	d := &Dump{Locks: make(map[uint32]int)}
 
-	d.Fault.Kind = FaultKind(dec.uvarint())
-	d.Fault.Thread = int(dec.varint())
-	d.Fault.PC = int(dec.varint())
-	d.Fault.Addr = uint32(dec.uvarint())
-	d.Fault.Detail = dec.str()
-	d.Steps = dec.uvarint()
+	d.Fault.Kind = FaultKind(dec.Uvarint())
+	d.Fault.Thread = int(dec.Varint())
+	d.Fault.PC = int(dec.Varint())
+	d.Fault.Addr = uint32(dec.Uvarint())
+	d.Fault.Detail = dec.Str("detail length", maxDetail)
+	d.Steps = dec.Uvarint()
 
-	nThreads := dec.uvarint()
-	const maxThreads = 1 << 12
-	if nThreads > maxThreads {
-		return nil, fmt.Errorf("coredump: unreasonable thread count %d", nThreads)
-	}
-	for i := uint64(0); i < nThreads && dec.err == nil; i++ {
+	nThreads := dec.Count("thread count", maxThreads)
+	for i := 0; i < nThreads && dec.Err() == nil; i++ {
 		var t Thread
-		t.ID = int(dec.varint())
+		t.ID = int(dec.Varint())
 		for r := 0; r < isa.NumRegs; r++ {
-			t.Regs[r] = dec.varint()
+			t.Regs[r] = dec.Varint()
 		}
-		t.PC = int(dec.varint())
-		t.State = ThreadState(dec.uvarint())
-		t.WaitAddr = uint32(dec.uvarint())
+		t.PC = int(dec.Varint())
+		t.State = ThreadState(dec.Uvarint())
+		t.WaitAddr = uint32(dec.Uvarint())
 		d.Threads = append(d.Threads, t)
 	}
 
-	nLocks := dec.uvarint()
-	for i := uint64(0); i < nLocks && dec.err == nil; i++ {
-		a := uint32(dec.uvarint())
-		d.Locks[a] = int(dec.varint())
+	nLocks := dec.Count("lock count", maxLocks)
+	for i := 0; i < nLocks && dec.Err() == nil; i++ {
+		a := uint32(dec.Uvarint())
+		d.Locks[a] = int(dec.Varint())
 	}
 
-	nHeap := dec.uvarint()
-	const maxHeap = 1 << 24
-	if nHeap > maxHeap {
-		return nil, fmt.Errorf("coredump: unreasonable heap count %d", nHeap)
-	}
-	for i := uint64(0); i < nHeap && dec.err == nil; i++ {
+	nHeap := dec.Count("heap count", maxHeap)
+	for i := 0; i < nHeap && dec.Err() == nil; i++ {
 		var h HeapObject
-		h.Base = uint32(dec.uvarint())
-		h.Size = uint32(dec.uvarint())
-		h.Freed = dec.uvarint() == 1
-		h.AllocPC = int(dec.varint())
-		h.FreePC = int(dec.varint())
+		h.Base = uint32(dec.Uvarint())
+		h.Size = uint32(dec.Uvarint())
+		h.Freed = dec.Uvarint() == 1
+		h.AllocPC = int(dec.Varint())
+		h.FreePC = int(dec.Varint())
 		d.Heap = append(d.Heap, h)
 	}
 
-	nOut := dec.uvarint()
-	const maxOut = 1 << 24
-	if nOut > maxOut {
-		return nil, fmt.Errorf("coredump: unreasonable output count %d", nOut)
-	}
-	for i := uint64(0); i < nOut && dec.err == nil; i++ {
+	nOut := dec.Count("output count", maxOut)
+	for i := 0; i < nOut && dec.Err() == nil; i++ {
 		var o OutputRec
-		o.PC = int(dec.varint())
-		o.Tag = dec.varint()
-		o.Value = dec.varint()
+		o.PC = int(dec.Varint())
+		o.Tag = dec.Varint()
+		o.Value = dec.Varint()
 		d.Outputs = append(d.Outputs, o)
 	}
 
-	nLBR := dec.uvarint()
-	const maxLBR = 1 << 16
-	if nLBR > maxLBR {
-		return nil, fmt.Errorf("coredump: unreasonable LBR count %d", nLBR)
-	}
-	for i := uint64(0); i < nLBR && dec.err == nil; i++ {
+	nLBR := dec.Count("LBR count", maxLBR)
+	for i := 0; i < nLBR && dec.Err() == nil; i++ {
 		var b BranchRec
-		b.From = int(dec.varint())
-		b.To = int(dec.varint())
+		b.From = int(dec.Varint())
+		b.To = int(dec.Varint())
 		d.LBR = append(d.LBR, b)
 	}
-	if dec.err != nil {
-		return nil, fmt.Errorf("coredump: %w", dec.err)
-	}
 
-	img, err := mem.ReadImage(br)
-	if err != nil {
-		return nil, err
+	d.Mem = mem.DecodeImage(dec)
+	if err := dec.Finish(); err != nil {
+		return nil, fmt.Errorf("coredump: %w", err)
 	}
-	d.Mem = img
 	return d, nil
-}
-
-// Marshal returns the serialized dump bytes.
-func (d *Dump) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := d.Write(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal parses a dump from bytes.
-func Unmarshal(b []byte) (*Dump, error) {
-	return Read(bytes.NewReader(b))
 }

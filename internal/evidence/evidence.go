@@ -22,13 +22,12 @@
 package evidence
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"res/internal/core"
 	"res/internal/coredump"
 	"res/internal/prog"
+	"res/internal/wire"
 )
 
 // Source is one piece of production-side evidence about the failed
@@ -87,6 +86,5 @@ func (s Set) Fingerprint() string {
 	if len(s) == 0 {
 		return ""
 	}
-	sum := sha256.Sum256(s.Encode())
-	return hex.EncodeToString(sum[:])
+	return wire.Fingerprint(s.Encode())
 }

@@ -76,6 +76,7 @@ func TestWireEmptyAndErrors(t *testing.T) {
 		[]byte("RESEVID1\x01\x03lbr\x01\x05"),              // bad LBR mode
 		[]byte("RESEVID1\x01\x03lbr\x02\x00\x00"),          // trailing payload bytes
 		[]byte("RESEVID1\x01\x0cbranch-trace\x02\x01\xff"), // nonzero pad bits
+		[]byte("RESEVID1\x80\x00"),                         // overlong varint
 	}
 	for i, b := range bad {
 		if _, err := evidence.Decode(b); err == nil {

@@ -2,7 +2,6 @@ package evidence
 
 import (
 	"fmt"
-	"io"
 
 	"res/internal/breadcrumb"
 	"res/internal/core"
@@ -11,6 +10,7 @@ import (
 	"res/internal/prog"
 	"res/internal/solver"
 	"res/internal/symx"
+	"res/internal/wire"
 )
 
 // Wire tags. Stable: they are part of the evidence fingerprint.
@@ -56,15 +56,15 @@ func (l LBR) Compile(p *prog.Program, d *coredump.Dump) (core.Pruner, error) {
 }
 
 func (l LBR) encodePayload() []byte {
-	e := &encoder{}
-	e.uvarint(uint64(l.Mode))
-	return e.buf.Bytes()
+	var e wire.Encoder
+	e.Uvarint(uint64(l.Mode))
+	return e.Bytes()
 }
 
-func decodeLBR(d *decoder) Source {
-	mode := breadcrumb.Mode(d.uvarint())
-	if d.err == nil && mode != breadcrumb.RecordAll && mode != breadcrumb.SkipConditional {
-		d.fail("bad LBR mode %d", mode)
+func decodeLBR(d *wire.Decoder) Source {
+	mode := breadcrumb.Mode(d.Uvarint())
+	if mode != breadcrumb.RecordAll && mode != breadcrumb.SkipConditional {
+		d.Fail("bad LBR mode %d", mode)
 	}
 	return LBR{Mode: mode}
 }
@@ -94,8 +94,6 @@ func (OutputLog) Compile(p *prog.Program, d *coredump.Dump) (core.Pruner, error)
 }
 
 func (OutputLog) encodePayload() []byte { return nil }
-
-func decodeOutputLog(*decoder) Source { return OutputLog{} }
 
 type outputPruner struct {
 	allowAll
@@ -189,36 +187,29 @@ func validateEventRecs(recs []EventRec) error {
 }
 
 func (l EventLog) encodePayload() []byte {
-	e := &encoder{}
-	e.uvarint(uint64(len(l.Records)))
+	var e wire.Encoder
+	e.Uvarint(uint64(len(l.Records)))
 	for _, r := range l.Records {
-		e.uvarint(r.Index)
-		e.varint(int64(r.Tid))
-		e.varint(int64(r.Block))
+		e.Uvarint(r.Index)
+		e.Varint(int64(r.Tid))
+		e.Varint(int64(r.Block))
 	}
-	return e.buf.Bytes()
+	return e.Bytes()
 }
 
-func decodeEventLog(d *decoder) Source {
-	n := d.uvarint()
-	if d.err != nil {
-		return EventLog{}
-	}
-	if n > maxRecords {
-		d.fail("unreasonable event-log count %d", n)
-		return EventLog{}
-	}
+func decodeEventLog(d *wire.Decoder) Source {
+	n := d.Count("event-log count", maxRecords)
 	recs := make([]EventRec, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		recs = append(recs, EventRec{
-			Index: d.uvarint(),
-			Tid:   int(d.varint()),
-			Block: int(d.varint()),
+			Index: d.Uvarint(),
+			Tid:   int(d.Varint()),
+			Block: int(d.Varint()),
 		})
 	}
-	if d.err == nil {
+	if d.Err() == nil {
 		if err := validateEventRecs(recs); err != nil {
-			d.fail("%v", err)
+			d.Fail("%v", err)
 		}
 	}
 	return EventLog{Records: recs}
@@ -259,10 +250,10 @@ func (b BranchTrace) Compile(p *prog.Program, d *coredump.Dump) (core.Pruner, er
 }
 
 func (b BranchTrace) encodePayload() []byte {
-	e := &encoder{}
-	e.uvarint(uint64(len(b.Bits)))
-	e.buf.Write(packBits(b.Bits))
-	return e.buf.Bytes()
+	var e wire.Encoder
+	e.Uvarint(uint64(len(b.Bits)))
+	e.Raw(packBits(b.Bits))
+	return e.Bytes()
 }
 
 // packBits packs LSB-first; trailing pad bits are zero (a canonical-form
@@ -277,21 +268,11 @@ func packBits(bits []bool) []byte {
 	return out
 }
 
-func decodeBranchTrace(d *decoder) Source {
-	n := d.uvarint()
-	if d.err != nil {
+func decodeBranchTrace(d *wire.Decoder) Source {
+	n := d.Count("branch-trace length", maxRecords)
+	packed := d.Raw((n + 7) / 8)
+	if d.Err() != nil {
 		return BranchTrace{}
-	}
-	if n > maxRecords {
-		d.fail("unreasonable branch-trace length %d", n)
-		return BranchTrace{}
-	}
-	packed := make([]byte, (n+7)/8)
-	if len(packed) > 0 {
-		if _, err := io.ReadFull(d.r, packed); err != nil {
-			d.fail("%v", err)
-			return BranchTrace{}
-		}
 	}
 	bits := make([]bool, n)
 	for i := range bits {
@@ -299,7 +280,7 @@ func decodeBranchTrace(d *decoder) Source {
 	}
 	// Canonical form: pad bits are zero.
 	if n%8 != 0 && packed[len(packed)-1]>>(n%8) != 0 {
-		d.fail("branch-trace pad bits not zero")
+		d.Fail("branch-trace pad bits not zero")
 	}
 	return BranchTrace{Bits: bits}
 }
@@ -395,36 +376,29 @@ func validateProbes(probes []Probe) error {
 }
 
 func (m MemProbe) encodePayload() []byte {
-	e := &encoder{}
-	e.uvarint(uint64(len(m.Probes)))
+	var e wire.Encoder
+	e.Uvarint(uint64(len(m.Probes)))
 	for _, pb := range m.Probes {
-		e.uvarint(pb.Index)
-		e.uvarint(uint64(pb.Addr))
-		e.varint(pb.Value)
+		e.Uvarint(pb.Index)
+		e.Uvarint(uint64(pb.Addr))
+		e.Varint(pb.Value)
 	}
-	return e.buf.Bytes()
+	return e.Bytes()
 }
 
-func decodeMemProbe(d *decoder) Source {
-	n := d.uvarint()
-	if d.err != nil {
-		return MemProbe{}
-	}
-	if n > maxRecords {
-		d.fail("unreasonable mem-probe count %d", n)
-		return MemProbe{}
-	}
+func decodeMemProbe(d *wire.Decoder) Source {
+	n := d.Count("mem-probe count", maxRecords)
 	probes := make([]Probe, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		probes = append(probes, Probe{
-			Index: d.uvarint(),
-			Addr:  uint32(d.uvarint()),
-			Value: d.varint(),
+			Index: d.Uvarint(),
+			Addr:  uint32(d.Uvarint()),
+			Value: d.Varint(),
 		})
 	}
-	if d.err == nil {
+	if d.Err() == nil {
 		if err := validateProbes(probes); err != nil {
-			d.fail("%v", err)
+			d.Fail("%v", err)
 		}
 	}
 	return MemProbe{Probes: probes}

@@ -1,12 +1,10 @@
 package evidence
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"res/internal/core"
+	"res/internal/wire"
 )
 
 // The wire form is a canonical container: magic, source count, then each
@@ -31,88 +29,15 @@ const (
 	maxPayload = 1 << 24
 )
 
-type encoder struct {
-	buf     bytes.Buffer
-	scratch [binary.MaxVarintLen64]byte
-}
-
-func (e *encoder) uvarint(v uint64) {
-	n := binary.PutUvarint(e.scratch[:], v)
-	e.buf.Write(e.scratch[:n])
-}
-
-func (e *encoder) varint(v int64) {
-	n := binary.PutVarint(e.scratch[:], v)
-	e.buf.Write(e.scratch[:n])
-}
-
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf.WriteString(s)
-}
-
-type decoder struct {
-	r   *bytes.Reader
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("evidence: "+format, args...)
-	}
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.err = fmt.Errorf("evidence: %w", err)
-	}
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(d.r)
-	if err != nil {
-		d.err = fmt.Errorf("evidence: %w", err)
-	}
-	return v
-}
-
-func (d *decoder) str(max uint64) string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > max {
-		d.fail("string too long (%d)", n)
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.err = fmt.Errorf("evidence: %w", err)
-		return ""
-	}
-	return string(b)
-}
-
 // Encode renders the set in its canonical wire form.
 func (s Set) Encode() []byte {
-	e := &encoder{}
-	e.buf.WriteString(wireMagic)
-	e.uvarint(uint64(len(s)))
+	e := wire.NewEncoder(wireMagic)
+	e.Uvarint(uint64(len(s)))
 	for _, src := range s {
-		e.str(src.Kind())
-		payload := src.encodePayload()
-		e.uvarint(uint64(len(payload)))
-		e.buf.Write(payload)
+		e.Str(src.Kind())
+		e.Blob(src.encodePayload())
 	}
-	return e.buf.Bytes()
+	return e.Bytes()
 }
 
 // Decode parses a wire-form evidence set. nil/empty input decodes to a
@@ -124,30 +49,14 @@ func Decode(b []byte) (Set, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	if len(b) < len(wireMagic) || string(b[:len(wireMagic)]) != wireMagic {
-		return nil, fmt.Errorf("evidence: bad magic")
-	}
-	d := &decoder{r: bytes.NewReader(b[len(wireMagic):])}
-	n := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if n > maxSources {
-		return nil, fmt.Errorf("evidence: unreasonable source count %d", n)
-	}
+	d := wire.NewDecoder(b, wireMagic)
+	n := d.Count("source count", maxSources)
 	set := make(Set, 0, n)
-	for i := uint64(0); i < n; i++ {
-		kind := d.str(256)
-		plen := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if plen > maxPayload {
-			return nil, fmt.Errorf("evidence: payload too long (%d)", plen)
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(d.r, payload); err != nil {
-			return nil, fmt.Errorf("evidence: %w", err)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		kind := d.Str("kind length", 256)
+		payload := d.Blob("payload length", maxPayload)
+		if d.Err() != nil {
+			break
 		}
 		src, err := decodeSource(kind, payload)
 		if err != nil {
@@ -155,8 +64,8 @@ func Decode(b []byte) (Set, error) {
 		}
 		set = append(set, src)
 	}
-	if d.r.Len() != 0 {
-		return nil, fmt.Errorf("evidence: %d trailing bytes", d.r.Len())
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("evidence: %w", err)
 	}
 	return set, nil
 }
@@ -165,13 +74,13 @@ func Decode(b []byte) (Set, error) {
 // decoder must consume the payload exactly and enforce its canonical
 // invariants.
 func decodeSource(kind string, payload []byte) (Source, error) {
-	d := &decoder{r: bytes.NewReader(payload)}
+	d := wire.NewDecoder(payload, "")
 	var src Source
 	switch kind {
 	case kindLBR:
 		src = decodeLBR(d)
 	case kindOutputLog:
-		src = decodeOutputLog(d)
+		src = OutputLog{}
 	case kindEventLog:
 		src = decodeEventLog(d)
 	case kindBranchTrace:
@@ -181,11 +90,8 @@ func decodeSource(kind string, payload []byte) (Source, error) {
 	default:
 		return nil, fmt.Errorf("evidence: unknown source kind %q", kind)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.r.Len() != 0 {
-		return nil, fmt.Errorf("evidence: %s: %d trailing payload bytes", kind, d.r.Len())
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("evidence: %s: %w", kind, err)
 	}
 	return src, nil
 }

@@ -12,13 +12,10 @@
 package fixverify
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"io"
 	"strings"
+
+	"res/internal/wire"
 )
 
 // OpKind classifies a patch operation.
@@ -79,60 +76,6 @@ const (
 	maxLabel   = 256
 )
 
-type encoder struct {
-	buf     bytes.Buffer
-	scratch [binary.MaxVarintLen64]byte
-}
-
-func (e *encoder) uvarint(v uint64) {
-	n := binary.PutUvarint(e.scratch[:], v)
-	e.buf.Write(e.scratch[:n])
-}
-
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf.WriteString(s)
-}
-
-type decoder struct {
-	r   *bytes.Reader
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("fixverify: "+format, args...)
-	}
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.err = fmt.Errorf("fixverify: %w", err)
-	}
-	return v
-}
-
-func (d *decoder) str(max uint64) string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > max {
-		d.fail("string too long (%d)", n)
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.err = fmt.Errorf("fixverify: %w", err)
-		return ""
-	}
-	return string(b)
-}
-
 // validLabel reports whether s can name an assembler label on the wire:
 // nonempty, bounded, and free of whitespace, colons, and newlines.
 func validLabel(s string) bool {
@@ -175,70 +118,57 @@ func (p *Patch) Validate() error {
 
 // Encode renders the patch in its canonical wire form.
 func (p *Patch) Encode() []byte {
-	e := &encoder{}
-	e.buf.WriteString(wireMagic)
-	e.uvarint(uint64(len(p.Ops)))
+	e := wire.NewEncoder(wireMagic)
+	e.Uvarint(uint64(len(p.Ops)))
 	for _, op := range p.Ops {
-		e.uvarint(uint64(op.Kind))
-		e.str(op.Label)
-		e.uvarint(uint64(len(op.Lines)))
+		e.Uvarint(uint64(op.Kind))
+		e.Str(op.Label)
+		e.Uvarint(uint64(len(op.Lines)))
 		for _, ln := range op.Lines {
-			e.str(ln)
+			e.Str(ln)
 		}
 	}
-	return e.buf.Bytes()
+	return e.Bytes()
 }
 
 // Decode parses wire-form patch bytes. Empty input is an error: a patch
 // is always explicit (the identity patch is a zero-op patch, which still
 // carries the magic).
 func Decode(b []byte) (*Patch, error) {
-	if len(b) < len(wireMagic) || string(b[:len(wireMagic)]) != wireMagic {
-		return nil, fmt.Errorf("fixverify: bad patch magic")
-	}
-	d := &decoder{r: bytes.NewReader(b[len(wireMagic):])}
-	n := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if n > maxOps {
-		return nil, fmt.Errorf("fixverify: unreasonable op count %d", n)
-	}
+	d := wire.NewDecoder(b, wireMagic)
+	n := d.Count("op count", maxOps)
 	p := &Patch{Ops: make([]Op, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		kind := d.uvarint()
-		label := d.str(maxLabel)
-		ln := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
+	for i := 0; i < n && d.Err() == nil; i++ {
+		kind := d.Uvarint()
+		label := d.Str("label length", maxLabel)
+		ln := d.Count("line count", maxLines)
+		if d.Err() != nil {
+			break
 		}
 		if kind > uint64(OpDelete) {
-			return nil, fmt.Errorf("fixverify: op %d: unknown kind %d", i, kind)
+			d.Fail("op %d: unknown kind %d", i, kind)
+			break
 		}
 		if !validLabel(label) {
-			return nil, fmt.Errorf("fixverify: op %d: bad label %q", i, label)
+			d.Fail("op %d: bad label %q", i, label)
+			break
 		}
-		if ln > maxLines {
-			return nil, fmt.Errorf("fixverify: op %d: unreasonable line count %d", i, ln)
+		if OpKind(kind) == OpDelete && ln != 0 {
+			d.Fail("op %d: delete carries %d lines", i, ln)
+			break
 		}
 		op := Op{Kind: OpKind(kind), Label: label}
-		for j := uint64(0); j < ln; j++ {
-			line := d.str(maxLineLen)
-			if d.err != nil {
-				return nil, d.err
-			}
+		for j := 0; j < ln && d.Err() == nil; j++ {
+			line := d.Str("line length", maxLineLen)
 			if strings.ContainsAny(line, "\n\r") {
-				return nil, fmt.Errorf("fixverify: op %d line %d: embedded newline", i, j)
+				d.Fail("op %d line %d: embedded newline", i, j)
 			}
 			op.Lines = append(op.Lines, line)
 		}
-		if op.Kind == OpDelete && len(op.Lines) != 0 {
-			return nil, fmt.Errorf("fixverify: op %d: delete carries %d lines", i, len(op.Lines))
-		}
 		p.Ops = append(p.Ops, op)
 	}
-	if d.r.Len() != 0 {
-		return nil, fmt.Errorf("fixverify: %d trailing bytes", d.r.Len())
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("fixverify: patch: %w", err)
 	}
 	return p, nil
 }
@@ -246,7 +176,4 @@ func Decode(b []byte) (*Patch, error) {
 // Fingerprint is the content address of the patch: the hex SHA-256 of
 // its canonical encoding. Distinct patches get distinct fingerprints;
 // the service keys cached verdicts by (failure tuple, patch fingerprint).
-func (p *Patch) Fingerprint() string {
-	sum := sha256.Sum256(p.Encode())
-	return hex.EncodeToString(sum[:])
-}
+func (p *Patch) Fingerprint() string { return wire.Fingerprint(p.Encode()) }

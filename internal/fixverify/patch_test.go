@@ -46,6 +46,7 @@ func TestPatchDecodeRejects(t *testing.T) {
 		"bad magic":      []byte("NOTAPATCH"),
 		"trailing bytes": append((&Patch{}).Encode(), 0),
 		"truncated":      samplePatch().Encode()[:12],
+		"overlong count": []byte("RESPATCH1\x80\x00"),
 	}
 	for name, b := range cases {
 		if _, err := Decode(b); err == nil {

@@ -1,10 +1,9 @@
 package isa
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
+
+	"res/internal/wire"
 )
 
 // Binary encoding of instruction streams. Each instruction is encoded as a
@@ -14,129 +13,20 @@ import (
 
 const streamMagic = "RESISA01"
 
-// EncodeStream writes the instruction slice to w.
-func EncodeStream(w io.Writer, code []Instr) error {
-	if _, err := io.WriteString(w, streamMagic); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := w.Write(scratch[:n])
-		return err
-	}
-	putVarint := func(v int64) error {
-		n := binary.PutVarint(scratch[:], v)
-		_, err := w.Write(scratch[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(code))); err != nil {
-		return err
-	}
-	for i := range code {
-		in := &code[i]
-		if err := in.Validate(); err != nil {
-			return fmt.Errorf("isa: encoding instruction %d: %w", i, err)
-		}
-		hdr := [4]byte{byte(in.Op), byte(in.Rd), byte(in.Rs1), byte(in.Rs2)}
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if err := putVarint(in.Imm); err != nil {
-			return err
-		}
-		if err := putVarint(int64(in.Target)); err != nil {
-			return err
-		}
-		if err := putVarint(int64(in.Target2)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(len(in.Sym))); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, in.Sym); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DecodeStream reads an instruction slice written by EncodeStream.
-func DecodeStream(r io.Reader) ([]Instr, error) {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		return nil, fmt.Errorf("isa: DecodeStream requires an io.ByteReader")
-	}
-	magic := make([]byte, len(streamMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("isa: reading magic: %w", err)
-	}
-	if string(magic) != streamMagic {
-		return nil, fmt.Errorf("isa: bad magic %q", magic)
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("isa: reading count: %w", err)
-	}
-	const maxInstrs = 1 << 26
-	if n > maxInstrs {
-		return nil, fmt.Errorf("isa: unreasonable instruction count %d", n)
-	}
-	code := make([]Instr, n)
-	for i := range code {
-		var hdr [4]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, fmt.Errorf("isa: instruction %d header: %w", i, err)
-		}
-		in := &code[i]
-		in.Op = Op(hdr[0])
-		in.Rd = Reg(hdr[1])
-		in.Rs1 = Reg(hdr[2])
-		in.Rs2 = Reg(hdr[3])
-		if in.Imm, err = binary.ReadVarint(br); err != nil {
-			return nil, fmt.Errorf("isa: instruction %d imm: %w", i, err)
-		}
-		t, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("isa: instruction %d target: %w", i, err)
-		}
-		in.Target = int(t)
-		if t, err = binary.ReadVarint(br); err != nil {
-			return nil, fmt.Errorf("isa: instruction %d target2: %w", i, err)
-		}
-		in.Target2 = int(t)
-		symLen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("isa: instruction %d symlen: %w", i, err)
-		}
-		const maxSym = 1 << 16
-		if symLen > maxSym {
-			return nil, fmt.Errorf("isa: instruction %d: symbol too long (%d)", i, symLen)
-		}
-		if symLen > 0 {
-			sym := make([]byte, symLen)
-			if _, err := io.ReadFull(r, sym); err != nil {
-				return nil, fmt.Errorf("isa: instruction %d symbol: %w", i, err)
-			}
-			in.Sym = string(sym)
-		}
-		if err := in.Validate(); err != nil {
-			return nil, fmt.Errorf("isa: decoded instruction %d: %w", i, err)
-		}
-	}
-	return code, nil
-}
-
-// MarshalStream is a convenience wrapper returning the encoded bytes.
+// MarshalStream returns the RESISA01 encoding of the instruction slice.
 func MarshalStream(code []Instr) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := EncodeStream(&buf, code); err != nil {
-		return nil, err
+	e := wire.NewEncoder(streamMagic)
+	e.Uvarint(uint64(len(code)))
+	for i := range code {
+		in := &code[i]
+		if err := in.Validate(); err != nil {
+			return nil, fmt.Errorf("isa: encoding instruction %d: %w", i, err)
+		}
+		e.Raw([]byte{byte(in.Op), byte(in.Rd), byte(in.Rs1), byte(in.Rs2)})
+		e.Varint(in.Imm)
+		e.Varint(int64(in.Target))
+		e.Varint(int64(in.Target2))
+		e.Str(in.Sym)
 	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalStream decodes instructions from b.
-func UnmarshalStream(b []byte) ([]Instr, error) {
-	return DecodeStream(bytes.NewReader(b))
+	return e.Bytes(), nil
 }

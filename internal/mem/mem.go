@@ -2,11 +2,7 @@
 // concrete VM, coredumps, and the symbolic snapshot machinery.
 package mem
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-)
+import "res/internal/wire"
 
 // Word is the machine word: 64-bit signed.
 type Word = int64
@@ -71,97 +67,61 @@ func (m *Image) Diff(other *Image) []Addr {
 	return out
 }
 
-// WriteTo serializes the image. It uses a simple run-length encoding of
-// zero words, since images are typically sparse.
-func (m *Image) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		k, err := w.Write(scratch[:n])
-		total += int64(k)
-		return err
-	}
-	if err := put(uint64(len(m.words))); err != nil {
-		return total, err
-	}
-	i := 0
-	for i < len(m.words) {
-		if m.words[i] == 0 {
-			j := i
-			for j < len(m.words) && m.words[j] == 0 {
-				j++
-			}
-			// 0 tag = zero run.
-			if err := put(0); err != nil {
-				return total, err
-			}
-			if err := put(uint64(j - i)); err != nil {
-				return total, err
-			}
-			i = j
-			continue
-		}
+// Encode appends the image's run-length form, since images are typically
+// sparse: the size in words, then runs, each a tag (0 for zero words, 1
+// for literal words), a length, and for a literal run its words.
+func (m *Image) Encode(e *wire.Encoder) {
+	e.Uvarint(uint64(len(m.words)))
+	for i := 0; i < len(m.words); {
+		zero := m.words[i] == 0
 		j := i
-		for j < len(m.words) && m.words[j] != 0 {
+		for j < len(m.words) && (m.words[j] == 0) == zero {
 			j++
 		}
-		// 1 tag = literal run.
-		if err := put(1); err != nil {
-			return total, err
-		}
-		if err := put(uint64(j - i)); err != nil {
-			return total, err
-		}
-		for k := i; k < j; k++ {
-			if err := put(uint64(m.words[k])); err != nil {
-				return total, err
+		if zero {
+			e.Uvarint(0)
+			e.Uvarint(uint64(j - i))
+		} else {
+			e.Uvarint(1)
+			e.Uvarint(uint64(j - i))
+			for _, w := range m.words[i:j] {
+				e.Uvarint(uint64(w))
 			}
 		}
 		i = j
 	}
-	return total, nil
 }
 
-// ReadImage deserializes an image written by WriteTo.
-func ReadImage(r io.ByteReader) (*Image, error) {
-	size, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("mem: reading size: %w", err)
-	}
-	const maxWords = 1 << 28
-	if size > maxWords {
-		return nil, fmt.Errorf("mem: unreasonable image size %d", size)
+// maxWords bounds a decoded image (decode hardening).
+const maxWords = 1 << 28
+
+// DecodeImage reads an image written by Encode. A failure sticks on d.
+func DecodeImage(d *wire.Decoder) *Image {
+	size := d.Count("image size", maxWords)
+	if d.Err() != nil {
+		return nil
 	}
 	img := NewImage(uint32(size))
-	i := uint64(0)
-	for i < size {
-		tag, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("mem: reading run tag: %w", err)
+	for i := 0; i < size && d.Err() == nil; {
+		tag := d.Uvarint()
+		n := d.Uvarint()
+		if d.Err() != nil {
+			break
 		}
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("mem: reading run length: %w", err)
-		}
-		if n == 0 || i+n > size {
-			return nil, fmt.Errorf("mem: bad run length %d at word %d", n, i)
+		if n == 0 || n > uint64(size-i) {
+			d.Fail("bad image run length %d at word %d", n, i)
+			break
 		}
 		switch tag {
 		case 0:
-			i += n
+			i += int(n)
 		case 1:
-			for k := uint64(0); k < n; k++ {
-				v, err := binary.ReadUvarint(r)
-				if err != nil {
-					return nil, fmt.Errorf("mem: reading word: %w", err)
-				}
-				img.words[i] = Word(v)
-				i++
+			for end := i + int(n); i < end; i++ {
+				img.words[i] = Word(d.Uvarint())
 			}
 		default:
-			return nil, fmt.Errorf("mem: bad run tag %d", tag)
+			d.Fail("bad image run tag %d", tag)
 		}
 	}
-	return img, nil
+	return img
 }

@@ -1,11 +1,26 @@
 package mem
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"res/internal/wire"
 )
+
+// roundTrip encodes m and decodes the result, requiring every byte to be
+// consumed.
+func roundTrip(m *Image) (*Image, error) {
+	var e wire.Encoder
+	m.Encode(&e)
+	return decode(e.Bytes())
+}
+
+func decode(b []byte) (*Image, error) {
+	d := wire.NewDecoder(b, "")
+	img := DecodeImage(d)
+	return img, d.Finish()
+}
 
 func TestLoadStore(t *testing.T) {
 	m := NewImage(64)
@@ -60,13 +75,9 @@ func TestSerializationRoundTrip(t *testing.T) {
 			}
 			m.Store(uint32(rng.Intn(int(m.Size()))), rng.Int63()-rng.Int63())
 		}
-		var buf bytes.Buffer
-		if _, err := m.WriteTo(&buf); err != nil {
-			t.Fatalf("trial %d: WriteTo: %v", trial, err)
-		}
-		got, err := ReadImage(bytes.NewReader(buf.Bytes()))
+		got, err := roundTrip(m)
 		if err != nil {
-			t.Fatalf("trial %d: ReadImage: %v", trial, err)
+			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
 		if d := m.Diff(got); len(d) != 0 {
 			t.Fatalf("trial %d: round trip differs at %v", trial, d)
@@ -77,25 +88,27 @@ func TestSerializationRoundTrip(t *testing.T) {
 func TestSerializationCompressesZeros(t *testing.T) {
 	m := NewImage(1 << 16)
 	m.Store(100, 1)
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() > 64 {
-		t.Errorf("sparse 64K-word image serialized to %d bytes", buf.Len())
+	var e wire.Encoder
+	m.Encode(&e)
+	if n := len(e.Bytes()); n > 64 {
+		t.Errorf("sparse 64K-word image serialized to %d bytes", n)
 	}
 }
 
 func TestReadImageRejectsGarbage(t *testing.T) {
-	if _, err := ReadImage(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})); err == nil {
+	if _, err := decode([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}); err == nil {
 		t.Error("unreasonable size accepted")
 	}
-	if _, err := ReadImage(bytes.NewReader(nil)); err == nil {
+	if _, err := decode(nil); err == nil {
 		t.Error("empty input accepted")
 	}
 	// Bad run length.
-	if _, err := ReadImage(bytes.NewReader([]byte{4, 0, 200})); err == nil {
+	if _, err := decode([]byte{4, 0, 200}); err == nil {
 		t.Error("overlong run accepted")
+	}
+	// The size 4 as a two-byte varint.
+	if _, err := decode([]byte{0x84, 0x00, 0, 4}); err == nil {
+		t.Error("overlong varint accepted")
 	}
 }
 
@@ -108,11 +121,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		for i, w := range words {
 			m.Store(uint32(i), w)
 		}
-		var buf bytes.Buffer
-		if _, err := m.WriteTo(&buf); err != nil {
-			return false
-		}
-		got, err := ReadImage(bytes.NewReader(buf.Bytes()))
+		got, err := roundTrip(m)
 		if err != nil {
 			return false
 		}

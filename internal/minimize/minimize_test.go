@@ -153,6 +153,7 @@ func TestReproDecodeRejects(t *testing.T) {
 		"bad fp":         badFP.Encode(),
 		"min > orig":     inverted.Encode(),
 		"bad evidence":   badEvidence.Encode(),
+		"overlong len":   append([]byte("RESMINR1"), append([]byte{valid[8] | 0x80, 0}, valid[9:]...)...),
 	}
 	for name, b := range cases {
 		if _, err := Decode(b); err == nil {

@@ -2,14 +2,12 @@ package minimize
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 
 	"res/internal/checkpoint"
 	"res/internal/evidence"
+	"res/internal/wire"
 )
 
 // MinimalRepro is a delta-debugged minimal reproduction: the smallest
@@ -65,32 +63,20 @@ const (
 
 // Encode renders the repro in its canonical wire form.
 func (m *MinimalRepro) Encode() []byte {
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	uv := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
-	}
-	str := func(s string) {
-		uv(uint64(len(s)))
-		buf.WriteString(s)
-	}
-	buf.WriteString(wireMagic)
-	str(m.CauseKey)
-	str(m.ProgramFP)
-	str(m.DumpFP)
-	uv(uint64(m.MaxDepth))
-	uv(uint64(m.MaxNodes))
-	uv(uint64(m.SuffixDepth))
-	uv(uint64(m.OrigSources))
-	uv(uint64(m.MinSources))
-	uv(uint64(m.Runs))
-	uv(uint64(m.Reductions))
-	uv(uint64(len(m.Evidence)))
-	buf.Write(m.Evidence)
-	uv(uint64(len(m.Checkpoints)))
-	buf.Write(m.Checkpoints)
-	return buf.Bytes()
+	e := wire.NewEncoder(wireMagic)
+	e.Str(m.CauseKey)
+	e.Str(m.ProgramFP)
+	e.Str(m.DumpFP)
+	e.Uvarint(uint64(m.MaxDepth))
+	e.Uvarint(uint64(m.MaxNodes))
+	e.Uvarint(uint64(m.SuffixDepth))
+	e.Uvarint(uint64(m.OrigSources))
+	e.Uvarint(uint64(m.MinSources))
+	e.Uvarint(uint64(m.Runs))
+	e.Uvarint(uint64(m.Reductions))
+	e.Blob(m.Evidence)
+	e.Blob(m.Checkpoints)
+	return e.Bytes()
 }
 
 // Decode parses wire-form minimal-repro bytes, enforcing canonicality:
@@ -98,69 +84,23 @@ func (m *MinimalRepro) Encode() []byte {
 // sub-encodings that round-trip byte-identically through their own
 // codecs.
 func Decode(b []byte) (*MinimalRepro, error) {
-	if len(b) < len(wireMagic) || string(b[:len(wireMagic)]) != wireMagic {
-		return nil, fmt.Errorf("minimize: bad repro magic")
-	}
-	r := bytes.NewReader(b[len(wireMagic):])
-	var derr error
-	uv := func(max uint64) uint64 {
-		if derr != nil {
-			return 0
-		}
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			derr = fmt.Errorf("minimize: %w", err)
-			return 0
-		}
-		if v > max {
-			derr = fmt.Errorf("minimize: field out of range (%d)", v)
-			return 0
-		}
-		return v
-	}
-	str := func(max uint64) string {
-		n := uv(max)
-		if derr != nil {
-			return ""
-		}
-		s := make([]byte, n)
-		if _, err := io.ReadFull(r, s); err != nil {
-			derr = fmt.Errorf("minimize: %w", err)
-			return ""
-		}
-		return string(s)
-	}
-	bs := func(max uint64) []byte {
-		n := uv(max)
-		if derr != nil || n == 0 {
-			return nil
-		}
-		s := make([]byte, n)
-		if _, err := io.ReadFull(r, s); err != nil {
-			derr = fmt.Errorf("minimize: %w", err)
-			return nil
-		}
-		return s
-	}
+	d := wire.NewDecoder(b, wireMagic)
 	m := &MinimalRepro{
-		CauseKey:    str(maxKey),
-		ProgramFP:   str(maxFP),
-		DumpFP:      str(maxFP),
-		MaxDepth:    int(uv(maxInt)),
-		MaxNodes:    int(uv(maxInt)),
-		SuffixDepth: int(uv(maxInt)),
-		OrigSources: int(uv(maxSrcCount)),
-		MinSources:  int(uv(maxSrcCount)),
-		Runs:        int(uv(maxInt)),
-		Reductions:  int(uv(maxInt)),
-		Evidence:    bs(maxAttach),
-		Checkpoints: bs(maxAttach),
+		CauseKey:    d.Str("cause key length", maxKey),
+		ProgramFP:   d.Str("program fingerprint length", maxFP),
+		DumpFP:      d.Str("dump fingerprint length", maxFP),
+		MaxDepth:    d.Count("max depth", maxInt),
+		MaxNodes:    d.Count("max nodes", maxInt),
+		SuffixDepth: d.Count("suffix depth", maxInt),
+		OrigSources: d.Count("original source count", maxSrcCount),
+		MinSources:  d.Count("minimized source count", maxSrcCount),
+		Runs:        d.Count("run count", maxInt),
+		Reductions:  d.Count("reduction count", maxInt),
+		Evidence:    d.Blob("evidence length", maxAttach),
+		Checkpoints: d.Blob("checkpoint length", maxAttach),
 	}
-	if derr != nil {
-		return nil, derr
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("minimize: %d trailing bytes", r.Len())
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("minimize: repro: %w", err)
 	}
 	if m.CauseKey == "" {
 		return nil, fmt.Errorf("minimize: repro carries no cause key")
@@ -216,7 +156,4 @@ func validFP(s string) bool {
 
 // Fingerprint is the content address of the repro: the hex SHA-256 of
 // its canonical encoding.
-func (m *MinimalRepro) Fingerprint() string {
-	sum := sha256.Sum256(m.Encode())
-	return hex.EncodeToString(sum[:])
-}
+func (m *MinimalRepro) Fingerprint() string { return wire.Fingerprint(m.Encode()) }

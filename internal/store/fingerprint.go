@@ -6,8 +6,8 @@
 // tier and an optional on-disk tier that survives process restarts.
 //
 // The canonical byte forms are the ones the repo already ships: a dump's
-// identity is the byte stream of coredump.(*Dump).Write, and a program's
-// identity is its isa.EncodeStream instruction encoding plus globals and
+// identity is the byte stream of coredump.(*Dump).Marshal, and a program's
+// identity is its isa.MarshalStream instruction encoding plus globals and
 // layout. Two dumps that serialize identically are the same dump, no
 // matter how their in-memory structs were produced.
 package store
@@ -89,10 +89,12 @@ func CanonicalizeDump(raw []byte) (Fingerprint, []byte, *coredump.Dump, error) {
 // differ only in comments and label names resolved to the same image —
 // yields the same fingerprint.
 func ProgramFingerprint(p *prog.Program) (Fingerprint, error) {
-	h := sha256.New()
-	if err := isa.EncodeStream(h, p.Code); err != nil {
+	stream, err := isa.MarshalStream(p.Code)
+	if err != nil {
 		return Fingerprint{}, err
 	}
+	h := sha256.New()
+	h.Write(stream)
 	writeU32 := func(v uint32) {
 		var b [4]byte
 		binary.BigEndian.PutUint32(b[:], v)
