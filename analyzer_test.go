@@ -47,34 +47,6 @@ func collectDumps(t testing.TB, bug *workload.Bug, n int) []*res.Dump {
 	return dumps
 }
 
-// TestAnalyzerMatchesLegacyAnalyze pins the shim semantics: the one-shot
-// deprecated Analyze and a session Analyze return the same answer.
-func TestAnalyzerMatchesLegacyAnalyze(t *testing.T) {
-	bug := workload.Fig1()
-	p := bug.Program()
-	d, _, err := bug.FindFailure(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := res.Analyze(p, d, res.Options{MaxDepth: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	session, err := res.NewAnalyzer(p, res.WithMaxDepth(12)).Analyze(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Cause == nil || session.Cause == nil {
-		t.Fatalf("causes: legacy=%v session=%v", legacy.Cause, session.Cause)
-	}
-	if legacy.Cause.Key() != session.Cause.Key() {
-		t.Errorf("cause diverged: legacy=%v session=%v", legacy.Cause, session.Cause)
-	}
-	if legacy.Report.Stats != session.Report.Stats {
-		t.Errorf("stats diverged: legacy=%+v session=%+v", legacy.Report.Stats, session.Report.Stats)
-	}
-}
-
 // TestAnalyzeCancellationMidSearch cancels the context from inside the
 // event stream — after several backward steps have already run — and
 // checks that Analyze returns promptly with ctx.Err() and the partial

@@ -75,7 +75,7 @@ func BenchmarkE1Figure1(b *testing.B) {
 	var attempts, infeasible, correct int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := res.Analyze(p, d, res.Options{MaxDepth: 12})
+		r, err := res.NewAnalyzer(p, res.WithMaxDepth(12)).Analyze(context.Background(), d)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func BenchmarkE2ConcurrencyBugs(b *testing.B) {
 			var correct, faithful, depth int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := res.Analyze(p, d, res.Options{MaxDepth: 16, MaxNodes: 4000})
+				r, err := res.NewAnalyzer(p, res.WithMaxDepth(16), res.WithMaxNodes(4000)).Analyze(context.Background(), d)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -141,7 +141,7 @@ func BenchmarkE3ArbitraryLength(b *testing.B) {
 			var attempts, found int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := res.Analyze(p, d, res.Options{MaxDepth: 8, MaxNodes: 2000})
+				r, err := res.NewAnalyzer(p, res.WithMaxDepth(8), res.WithMaxNodes(2000)).Analyze(context.Background(), d)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -252,7 +252,7 @@ func buildTriageCorpus(b *testing.B, perBug int) []triage.Item {
 func BenchmarkE5Triage(b *testing.B) {
 	corpus := buildTriageCorpus(b, 4)
 	rcClassifier := func(it triage.Item) (string, error) {
-		r, err := res.Analyze(it.Prog, it.Dump, res.Options{MaxDepth: 14, MaxNodes: 3000})
+		r, err := res.NewAnalyzer(it.Prog, res.WithMaxDepth(14), res.WithMaxNodes(3000)).Analyze(context.Background(), it.Dump)
 		if err != nil {
 			return "", err
 		}
@@ -450,7 +450,7 @@ func BenchmarkE8Exploitability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		taintCorrect, heurCorrect = 0, 0
 		for _, c := range prep {
-			r, err := res.Analyze(c.p, c.dump, res.Options{MaxDepth: 10})
+			r, err := res.NewAnalyzer(c.p, res.WithMaxDepth(10)).Analyze(context.Background(), c.dump)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -538,7 +538,7 @@ func BenchmarkSolverLinearChain(b *testing.B) {
 // BenchmarkAnalyzerReuse quantifies the session-API win: one shared
 // Analyzer serving a stream of dumps (the predecessor index and program
 // preprocessing amortized across analyses) against constructing a fresh
-// Analyzer per dump, the shape the deprecated one-shot API forced.
+// Analyzer per dump.
 func BenchmarkAnalyzerReuse(b *testing.B) {
 	bug := workload.AmbiguousDispatch(10)
 	p := bug.Program()

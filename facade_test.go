@@ -1,11 +1,11 @@
 package res_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"res"
-	"res/internal/breadcrumb"
 	"res/internal/workload"
 )
 
@@ -18,7 +18,7 @@ func TestAnalyzeFlagsHardwareViaFacade(t *testing.T) {
 	}
 	g, _ := p.GlobalAddr("g")
 	d.Mem.Store(g, d.Mem.Load(g)^8)
-	r, err := res.Analyze(p, d, res.Options{MaxDepth: 8})
+	r, err := res.NewAnalyzer(p, res.WithMaxDepth(8)).Analyze(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestDescribeWithCause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := res.Analyze(bug.Program(), d, res.Options{MaxDepth: 8})
+	r, err := res.NewAnalyzer(bug.Program(), res.WithMaxDepth(8)).Analyze(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +61,12 @@ func TestAnalyzeWithBreadcrumbOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := res.Analyze(p, d, res.Options{MaxDepth: 12})
+	plain, err := res.NewAnalyzer(p, res.WithMaxDepth(12)).Analyze(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := res.Analyze(p, d, res.Options{
-		MaxDepth: 12, UseLBR: true, LBRMode: breadcrumb.RecordAll, MatchOutputs: true,
-	})
+	pruned, err := res.NewAnalyzer(p, res.WithMaxDepth(12), res.WithLBR(res.LBRRecordAll), res.WithMatchOutputs()).
+		Analyze(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func TestReplayFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := res.Analyze(p, d, res.Options{MaxDepth: 10})
+	r, err := res.NewAnalyzer(p, res.WithMaxDepth(10)).Analyze(context.Background(), d)
 	if err != nil || r.Synthesized == nil {
 		t.Fatalf("analyze: %v %v", r, err)
 	}

@@ -1,6 +1,7 @@
 package triage_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -51,7 +52,7 @@ func buildCorpus(t *testing.T, bugs []*workload.Bug, perBug int) []triage.Item {
 // resClassifier buckets by RES root-cause key.
 func resClassifier() triage.Classifier {
 	return func(it triage.Item) (string, error) {
-		r, err := res.Analyze(it.Prog, it.Dump, res.Options{MaxDepth: 14, MaxNodes: 3000})
+		r, err := res.NewAnalyzer(it.Prog, res.WithMaxDepth(14), res.WithMaxNodes(3000)).Analyze(context.Background(), it.Dump)
 		if err != nil {
 			return "", err
 		}

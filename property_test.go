@@ -1,6 +1,7 @@
 package res_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -83,7 +84,7 @@ func TestPropertyRandomProgramsReplayExactly(t *testing.T) {
 		if d == nil || d.Fault.Kind != coredump.FaultAssert {
 			t.Fatalf("trial %d: expected the engineered assert failure, got %v", trial, d)
 		}
-		r, err := res.Analyze(p, d, res.Options{MaxDepth: 10, MaxNodes: 600})
+		r, err := res.NewAnalyzer(p, res.WithMaxDepth(10), res.WithMaxNodes(600)).Analyze(context.Background(), d)
 		if err != nil {
 			t.Fatalf("trial %d: analyze: %v\n%s", trial, err, src)
 		}
@@ -109,7 +110,7 @@ func TestUseAfterFreeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := res.Analyze(p, d, res.Options{MaxDepth: 10})
+	r, err := res.NewAnalyzer(p, res.WithMaxDepth(10)).Analyze(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestDeadlockEndToEnd(t *testing.T) {
 	if blocked != 2 {
 		t.Fatalf("blocked threads = %d, want 2", blocked)
 	}
-	r, err := res.Analyze(p, d, res.Options{MaxDepth: 12, MaxNodes: 3000})
+	r, err := res.NewAnalyzer(p, res.WithMaxDepth(12), res.WithMaxNodes(3000)).Analyze(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,18 +34,13 @@
 // feasible suffix can explain is flagged as a likely hardware error
 // (Analyzer.ClassifyHardware), and the taint verdict classifies crashes
 // as attacker-controllable.
-//
-// The one-shot Analyze function and its Options struct are deprecated
-// shims over a throwaway session, kept for callers of the original API.
 package res
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"res/internal/asm"
-	"res/internal/breadcrumb"
 	"res/internal/checkpoint"
 	"res/internal/core"
 	"res/internal/coredump"
@@ -54,7 +49,6 @@ import (
 	"res/internal/prog"
 	"res/internal/replay"
 	"res/internal/rootcause"
-	"res/internal/solver"
 	"res/internal/taint"
 	"res/internal/trace"
 	"res/internal/vm"
@@ -181,42 +175,6 @@ func Run(p *Program, cfg RunConfig) (*Dump, error) {
 	return v.Run()
 }
 
-// Options tunes the one-shot Analyze.
-//
-// Deprecated: use NewAnalyzer with functional options (WithMaxDepth,
-// WithLBR, WithMatchOutputs, WithSolverOptions, ...) instead.
-type Options struct {
-	// MaxDepth bounds the suffix length (blocks). 0 = default (24).
-	MaxDepth int
-	// MaxNodes bounds backward-step attempts. 0 = default (100000).
-	MaxNodes int
-	// UseLBR prunes the search with the dump's branch ring.
-	UseLBR bool
-	// LBRMode selects the (simulated) hardware recording mode used when
-	// interpreting the ring.
-	LBRMode breadcrumb.Mode
-	// MatchOutputs prunes with error-log breadcrumbs.
-	MatchOutputs bool
-	// Solver tunes constraint solving; zero values take defaults.
-	Solver solver.Options
-}
-
-// options lowers the legacy struct to the functional form.
-func (o Options) options() []Option {
-	opts := []Option{
-		WithMaxDepth(o.MaxDepth),
-		WithMaxNodes(o.MaxNodes),
-		WithSolverOptions(o.Solver),
-	}
-	if o.UseLBR {
-		opts = append(opts, WithLBR(o.LBRMode))
-	}
-	if o.MatchOutputs {
-		opts = append(opts, WithMatchOutputs())
-	}
-	return opts
-}
-
 // Result is the outcome of an analysis.
 type Result struct {
 	// Report is the raw search report (statistics, all feasible nodes).
@@ -263,16 +221,6 @@ type Result struct {
 // tree (see WithTrace): spans in creation order, root first, with
 // Chrome trace-event export via its ChromeTrace method.
 type AnalysisTrace = obs.TraceData
-
-// Analyze is the one-shot form of Analyzer.Analyze: it builds a throwaway
-// session for p and analyzes d with no cancellation.
-//
-// Deprecated: use NewAnalyzer(p).Analyze(ctx, d) — a kept session reuses
-// the program's precomputed indexes across dumps, takes a context, and
-// supports batching and progress observation.
-func Analyze(p *Program, d *Dump, opt Options) (*Result, error) {
-	return NewAnalyzer(p).Analyze(context.Background(), d, opt.options()...)
-}
 
 // Replay re-executes a synthesized suffix and reports whether it
 // reproduces the dump exactly.

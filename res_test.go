@@ -1,6 +1,7 @@
 package res_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -25,7 +26,7 @@ func TestSection4ConcurrencyBugs(t *testing.T) {
 				t.Fatalf("failure never manifested: %v", err)
 			}
 			start := time.Now()
-			r, err := res.Analyze(p, d, res.Options{MaxDepth: 16, MaxNodes: 4000})
+			r, err := res.NewAnalyzer(p, res.WithMaxDepth(16), res.WithMaxNodes(4000)).Analyze(context.Background(), d)
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
@@ -82,7 +83,7 @@ func TestFigure1Overflow(t *testing.T) {
 	if d.Mem.Load(x) != 1 || d.Mem.Load(y) != 10 {
 		t.Fatalf("dump state x=%d y=%d, want 1, 10", d.Mem.Load(x), d.Mem.Load(y))
 	}
-	r, err := res.Analyze(p, d, res.Options{MaxDepth: 12, MaxNodes: 4000})
+	r, err := res.NewAnalyzer(p, res.WithMaxDepth(12), res.WithMaxNodes(4000)).Analyze(context.Background(), d)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -130,7 +131,7 @@ func TestExploitabilityClassification(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tainted overflow: %v", err)
 	}
-	r, err := res.Analyze(tainted.Program(), d, res.Options{MaxDepth: 8})
+	r, err := res.NewAnalyzer(tainted.Program(), res.WithMaxDepth(8)).Analyze(context.Background(), d)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -143,7 +144,7 @@ func TestExploitabilityClassification(t *testing.T) {
 	if err != nil {
 		t.Fatalf("untainted crash: %v", err)
 	}
-	r2, err := res.Analyze(benign.Program(), d2, res.Options{MaxDepth: 8})
+	r2, err := res.NewAnalyzer(benign.Program(), res.WithMaxDepth(8)).Analyze(context.Background(), d2)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -162,7 +163,7 @@ func TestHashConstructReexecution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hash bug: %v", err)
 	}
-	r, err := res.Analyze(p, d, res.Options{MaxDepth: 8})
+	r, err := res.NewAnalyzer(p, res.WithMaxDepth(8)).Analyze(context.Background(), d)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -192,7 +193,7 @@ func TestLongExecutionIndependence(t *testing.T) {
 		if d.Steps < uint64(n/2) {
 			t.Fatalf("prefix too short: %d blocks for n=%d", d.Steps, n)
 		}
-		r, err := res.Analyze(bug.Program(), d, res.Options{MaxDepth: 8, MaxNodes: 2000})
+		r, err := res.NewAnalyzer(bug.Program(), res.WithMaxDepth(8), res.WithMaxNodes(2000)).Analyze(context.Background(), d)
 		if err != nil {
 			t.Fatalf("Analyze: %v", err)
 		}
