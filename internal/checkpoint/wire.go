@@ -122,7 +122,7 @@ func Decode(b []byte) (*Ring, error) {
 	d := wire.NewDecoder(b, wireMagic)
 	r := &Ring{Interval: d.Uvarint()}
 	memSize := d.Count("memory size", maxMemSize)
-	if d.Err() == nil && r.Interval == 0 {
+	if r.Interval == 0 {
 		d.Fail("zero interval")
 	}
 	nCks := d.Count("checkpoint count", maxCheckpoints)
