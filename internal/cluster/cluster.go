@@ -323,35 +323,8 @@ func (n *Node) writeThrough(k store.Key, data []byte) {
 // artifactEnvelope is the intra-cluster replication wire form: the full
 // key (the receiver stores by key, not by opaque ID) plus the bytes.
 type artifactEnvelope struct {
-	Space   string `json:"space"`
-	Program string `json:"program"`
-	Dump    string `json:"dump"`
-	Options string `json:"options"`
-	Data    []byte `json:"data"`
-}
-
-func envelope(k store.Key, data []byte) artifactEnvelope {
-	return artifactEnvelope{
-		Space:   k.Space,
-		Program: k.Program.String(),
-		Dump:    k.Dump.String(),
-		Options: k.Options.String(),
-		Data:    data,
-	}
-}
-
-func (e artifactEnvelope) key() (store.Key, error) {
-	var k store.Key
-	var err error
-	k.Space = e.Space
-	if k.Program, err = store.ParseFingerprint(e.Program); err != nil {
-		return k, err
-	}
-	if k.Dump, err = store.ParseFingerprint(e.Dump); err != nil {
-		return k, err
-	}
-	k.Options, err = store.ParseFingerprint(e.Options)
-	return k, err
+	store.Key
+	Data []byte `json:"data"`
 }
 
 // verifyArtifact checks replicated bytes against their content address
@@ -379,7 +352,7 @@ func verifyArtifact(k store.Key, data []byte) error {
 
 // pushArtifact PUTs one artifact to a peer's internal store endpoint.
 func (n *Node) pushArtifact(peer string, k store.Key, data []byte) error {
-	body, err := json.Marshal(envelope(k, data))
+	body, err := json.Marshal(artifactEnvelope{k, data})
 	if err != nil {
 		return err
 	}

@@ -150,28 +150,6 @@ func (n *Node) repairLoop(ctx context.Context, interval time.Duration) {
 	}
 }
 
-// keyRecord is the store-index wire form: one key in hex.
-type keyRecord struct {
-	Space   string `json:"space"`
-	Program string `json:"program"`
-	Dump    string `json:"dump"`
-	Options string `json:"options"`
-}
-
-func (r keyRecord) key() (store.Key, error) {
-	var k store.Key
-	var err error
-	k.Space = r.Space
-	if k.Program, err = store.ParseFingerprint(r.Program); err != nil {
-		return k, err
-	}
-	if k.Dump, err = store.ParseFingerprint(r.Dump); err != nil {
-		return k, err
-	}
-	k.Options, err = store.ParseFingerprint(r.Options)
-	return k, err
-}
-
 // peerIndex fetches one peer's replicable key inventory.
 func (n *Node) peerIndex(ctx context.Context, peer string) []store.Key {
 	ctx, cancel := context.WithTimeout(ctx, n.repTO)
@@ -191,15 +169,9 @@ func (n *Node) peerIndex(ctx context.Context, peer string) []store.Key {
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	var recs []keyRecord
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&recs); err != nil {
+	var keys []store.Key
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&keys); err != nil {
 		return nil
-	}
-	keys := make([]store.Key, 0, len(recs))
-	for _, rec := range recs {
-		if k, err := rec.key(); err == nil {
-			keys = append(keys, k)
-		}
 	}
 	return keys
 }

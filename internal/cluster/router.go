@@ -13,6 +13,7 @@ import (
 
 	"res/internal/obs"
 	"res/internal/service"
+	"res/internal/store"
 )
 
 // Handler returns the node's cluster-aware HTTP API. It serves the same
@@ -812,20 +813,13 @@ func (n *Node) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 // sweeping peer unions into its repair work list. Keys only, never data;
 // the journal space and other node-local keys are excluded.
 func (n *Node) handleStoreIndex(w http.ResponseWriter, r *http.Request) {
-	keys := n.st.Keys()
-	recs := make([]keyRecord, 0, len(keys))
-	for _, k := range keys {
-		if !replicable(k) {
-			continue
+	keys := []store.Key{}
+	for _, k := range n.st.Keys() {
+		if replicable(k) {
+			keys = append(keys, k)
 		}
-		recs = append(recs, keyRecord{
-			Space:   k.Space,
-			Program: k.Program.String(),
-			Dump:    k.Dump.String(),
-			Options: k.Options.String(),
-		})
 	}
-	writeJSON(w, http.StatusOK, recs)
+	writeJSON(w, http.StatusOK, keys)
 }
 
 // handleRepair runs one synchronous anti-entropy sweep and returns its
@@ -844,11 +838,7 @@ func (n *Node) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad envelope: %v", err)
 		return
 	}
-	k, err := env.key()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad key: %v", err)
-		return
-	}
+	k := env.Key
 	if k.ID() != r.PathValue("id") {
 		writeErr(w, http.StatusBadRequest, "key does not hash to %s", r.PathValue("id"))
 		return

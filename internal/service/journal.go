@@ -66,54 +66,23 @@ type JournalProgram struct {
 	Source string `json:"source"`
 }
 
-// JournalKey is a store.Key in its hex wire form.
-type JournalKey struct {
-	Space   string `json:"space"`
-	Program string `json:"program"`
-	Dump    string `json:"dump"`
-	Options string `json:"options"`
-}
-
-func journalKey(k store.Key) JournalKey {
-	return JournalKey{
-		Space:   k.Space,
-		Program: k.Program.String(),
-		Dump:    k.Dump.String(),
-		Options: k.Options.String(),
-	}
-}
-
-func (jk JournalKey) key() (store.Key, error) {
-	var k store.Key
-	var err error
-	k.Space = jk.Space
-	if k.Program, err = store.ParseFingerprint(jk.Program); err != nil {
-		return k, err
-	}
-	if k.Dump, err = store.ParseFingerprint(jk.Dump); err != nil {
-		return k, err
-	}
-	k.Options, err = store.ParseFingerprint(jk.Options)
-	return k, err
-}
-
 // JournalJob records one terminal job: its identity, outcome, and bucket
 // membership. Report bytes are deliberately absent — for a complete job
 // they live in the content-addressed store under Key; for a failed or
 // partial one they were never durable to begin with.
 type JournalJob struct {
-	ID          string     `json:"id"`
-	Program     string     `json:"program"`
-	ProgramName string     `json:"program_name,omitempty"`
-	Status      Status     `json:"status"`
-	Partial     bool       `json:"partial,omitempty"`
-	Bucket      string     `json:"bucket,omitempty"`
-	Error       string     `json:"error,omitempty"`
-	Mode        string     `json:"mode,omitempty"`
-	Evidence    []string   `json:"evidence,omitempty"`
-	Warnings    []string   `json:"warnings,omitempty"`
-	Key         JournalKey `json:"key"`
-	FinishedAt  time.Time  `json:"finished_at"`
+	ID          string    `json:"id"`
+	Program     string    `json:"program"`
+	ProgramName string    `json:"program_name,omitempty"`
+	Status      Status    `json:"status"`
+	Partial     bool      `json:"partial,omitempty"`
+	Bucket      string    `json:"bucket,omitempty"`
+	Error       string    `json:"error,omitempty"`
+	Mode        string    `json:"mode,omitempty"`
+	Evidence    []string  `json:"evidence,omitempty"`
+	Warnings    []string  `json:"warnings,omitempty"`
+	Key         store.Key `json:"key"`
+	FinishedAt  time.Time `json:"finished_at"`
 }
 
 // journalSnapshot is the compacted form: the full durable state as of
@@ -303,7 +272,7 @@ func journalJobRecord(js *jobState) *JournalJob {
 		Mode:        js.job.Mode,
 		Evidence:    js.job.Evidence,
 		Warnings:    js.job.Warnings,
-		Key:         journalKey(js.key),
+		Key:         js.key,
 		FinishedAt:  js.job.FinishedAt,
 	}
 }
@@ -359,7 +328,7 @@ func (s *Service) journalSnapshotLocked() journalSnapshot {
 		snap.Jobs = append(snap.Jobs, JournalJob{
 			ID: id, Program: rec.program, ProgramName: rec.programName,
 			Status: StatusDone, Bucket: rec.bucket, Mode: rec.mode,
-			Key: journalKey(rec.key), FinishedAt: rec.finished,
+			Key: rec.key, FinishedAt: rec.finished,
 		})
 	}
 	sort.Slice(snap.Jobs, func(i, j int) bool {
@@ -432,8 +401,7 @@ func (s *Service) replayProgram(p JournalProgram) {
 // MaxJobs bound; failed/canceled/partial jobs come back as bare history
 // (their answers were never durable, resubmission re-analyzes).
 func (s *Service) replayJob(jj JournalJob) {
-	key, err := jj.Key.key()
-	if err != nil || jj.ID == "" {
+	if jj.ID == "" {
 		return
 	}
 	s.mu.Lock()
@@ -448,7 +416,7 @@ func (s *Service) replayJob(jj JournalJob) {
 	}
 	if jj.Status == StatusDone && !jj.Partial {
 		s.insertEvictedLocked(jj.ID, evictedRec{
-			key: key, program: jj.Program, programName: jj.ProgramName,
+			key: jj.Key, program: jj.Program, programName: jj.ProgramName,
 			bucket: jj.Bucket, mode: jj.Mode, finished: jj.FinishedAt,
 		})
 		s.addBucketLocked(jj.Bucket, jj.ID)
@@ -463,7 +431,7 @@ func (s *Service) replayJob(jj JournalJob) {
 			Error: jj.Error, Mode: jj.Mode, Evidence: jj.Evidence,
 			Warnings: jj.Warnings, FinishedAt: jj.FinishedAt,
 		},
-		key:  key,
+		key:  jj.Key,
 		done: done,
 	}
 	s.jobs[jj.ID] = js

@@ -37,18 +37,28 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
 // IsZero reports whether the fingerprint is unset.
 func (f Fingerprint) IsZero() bool { return f == Fingerprint{} }
 
+// MarshalText renders the fingerprint as the hex of String, which makes
+// a fingerprint a hex string in JSON.
+func (f Fingerprint) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
+
+// UnmarshalText parses the hex form produced by MarshalText.
+func (f *Fingerprint) UnmarshalText(text []byte) error {
+	if len(text) != hex.EncodedLen(len(f)) {
+		return fmt.Errorf("store: bad fingerprint %q: want %d hex digits", text, hex.EncodedLen(len(f)))
+	}
+	var g Fingerprint
+	if _, err := hex.Decode(g[:], text); err != nil {
+		return fmt.Errorf("store: bad fingerprint %q: %w", text, err)
+	}
+	*f = g
+	return nil
+}
+
 // ParseFingerprint parses the hex form produced by String.
 func ParseFingerprint(s string) (Fingerprint, error) {
 	var f Fingerprint
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return f, fmt.Errorf("store: bad fingerprint %q: %w", s, err)
-	}
-	if len(b) != len(f) {
-		return f, fmt.Errorf("store: bad fingerprint %q: want %d bytes, got %d", s, len(f), len(b))
-	}
-	copy(f[:], b)
-	return f, nil
+	err := f.UnmarshalText([]byte(s))
+	return f, err
 }
 
 // BytesFingerprint hashes raw bytes. Callers addressing dumps should
@@ -138,12 +148,14 @@ func OptionsFingerprint(desc string) Fingerprint {
 // Key addresses one stored artifact. Space partitions the keyspace
 // ("result" for analysis reports, "dump" for coredump blobs); unused
 // fingerprint components are zero (a dump blob is addressed by content
-// alone, so only Dump is set).
+// alone, so only Dump is set). Its JSON form, an object of the space and
+// the three fingerprints in hex, is the one the key index, the service
+// journal and the cluster's replication traffic all write.
 type Key struct {
-	Space   string
-	Program Fingerprint
-	Dump    Fingerprint
-	Options Fingerprint
+	Space   string      `json:"space"`
+	Program Fingerprint `json:"program"`
+	Dump    Fingerprint `json:"dump"`
+	Options Fingerprint `json:"options"`
 }
 
 // ResultKey addresses the analysis report for one (program, dump,

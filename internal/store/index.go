@@ -23,30 +23,6 @@ import (
 // never collide with artifact storage).
 const indexFile = "index.jsonl"
 
-// indexRecord is one line of the key index: a Key in its hex wire form.
-type indexRecord struct {
-	Space   string `json:"space"`
-	Program string `json:"program"`
-	Dump    string `json:"dump"`
-	Options string `json:"options"`
-}
-
-func (r indexRecord) key() (Key, bool) {
-	var k Key
-	var err error
-	k.Space = r.Space
-	if k.Program, err = ParseFingerprint(r.Program); err != nil {
-		return k, false
-	}
-	if k.Dump, err = ParseFingerprint(r.Dump); err != nil {
-		return k, false
-	}
-	if k.Options, err = ParseFingerprint(r.Options); err != nil {
-		return k, false
-	}
-	return k, true
-}
-
 // loadIndex reads the persisted key index and opens the append handle.
 // Unparseable lines are skipped — the index is advisory, and a torn tail
 // from a crash mid-append must not block startup.
@@ -60,14 +36,12 @@ func (s *Store) loadIndex() error {
 			if len(line) == 0 {
 				continue
 			}
-			var rec indexRecord
-			if json.Unmarshal(line, &rec) != nil {
+			var k Key
+			if json.Unmarshal(line, &k) != nil {
 				continue
 			}
-			if k, ok := rec.key(); ok {
-				s.known[k] = true
-				s.persisted[k] = true
-			}
+			s.known[k] = true
+			s.persisted[k] = true
 		}
 		f.Close()
 	}
@@ -91,13 +65,7 @@ func (s *Store) noteKeyLocked(k Key) {
 	if s.idxF == nil || s.persisted[k] {
 		return
 	}
-	rec := indexRecord{
-		Space:   k.Space,
-		Program: k.Program.String(),
-		Dump:    k.Dump.String(),
-		Options: k.Options.String(),
-	}
-	if line, err := json.Marshal(rec); err == nil {
+	if line, err := json.Marshal(k); err == nil {
 		if _, err := s.idxF.Write(append(line, '\n')); err == nil {
 			s.persisted[k] = true
 		}

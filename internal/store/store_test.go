@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -124,8 +125,10 @@ func TestKeyIDStableAndDistinct(t *testing.T) {
 	if _, err := ParseFingerprint(p.String()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseFingerprint("zz"); err == nil {
-		t.Fatal("bad hex parsed")
+	for _, bad := range []string{"zz", p.String()[:62], p.String() + "00", strings.Repeat("g", 64)} {
+		if _, err := ParseFingerprint(bad); err == nil {
+			t.Fatalf("bad fingerprint %q parsed", bad)
+		}
 	}
 }
 
