@@ -11,8 +11,7 @@
 //	     [-cache-entries 4096] [-cache-dir /var/lib/resd]
 //	     [-jobs-cap 65536] [-jobs-ttl 0] [-retries 2] [-journal path]
 //	     [-peers url,url,...] [-advertise url] [-replicas 2]
-//	     [-repair-interval 0] [-breaker-threshold 3] [-breaker-cooldown 2s]
-//	     [-max-body-mb 256] [-spool-dir dir]
+//	     [-repair-interval 0] [-max-body-mb 256] [-spool-dir dir]
 //	     [-fault-spec seam:kind:prob,...] [-fault-seed 1]
 //	     [-pprof] [-slow-analysis 5s] [-drain-timeout 30s]
 //	     [-log-format text|json] [-flightrec-events 256]
@@ -47,14 +46,16 @@
 //	GET  /metrics           Prometheus text metrics (counters + latency
 //	                        histograms + runtime gauges)
 //	GET  /internal/v1/flightrec  the always-on flight recorder: a bounded
-//	                        ring of recent spans, warnings, faults, and
-//	                        repair events, auto-dumped on panic and on
-//	                        -slow-analysis hits
+//	                        ring of recent spans, warnings, faults,
+//	                        peers marked down, and repair events,
+//	                        auto-dumped on panic and on -slow-analysis hits
 //
 // With -peers, N daemons form one logical service: every node routes
 // each program's dumps to its rendezvous owner (failing over when the
 // owner is down), replicates completed results to -replicas nodes, and
-// merges the cluster-wide bucket view. -journal makes job history and
+// merges the cluster-wide bucket view. A peer is down after two
+// consecutive failures, seen by a /healthz probe or by any request to
+// it, and is routed to again after its next successful probe. -journal makes job history and
 // bucket membership durable across restarts. Cluster-mode endpoints:
 //
 //	GET  /v1/cluster                membership + per-peer health
@@ -118,8 +119,6 @@ func main() {
 		slowAnalysis = flag.Duration("slow-analysis", 0, "log a span-tree summary to stderr for analyses at least this slow (0 = off)")
 		maxBodyMB    = flag.Int64("max-body-mb", 0, "request-body cap in MiB for submissions and routing (0 = 256)")
 		repairEvery  = flag.Duration("repair-interval", 0, "anti-entropy sweep period in cluster mode (0 = off; POST /internal/v1/repair always works)")
-		brkThreshold = flag.Int("breaker-threshold", 0, "consecutive peer failures that open its circuit breaker (0 = 3)")
-		brkCooldown  = flag.Duration("breaker-cooldown", 0, "open-circuit cooldown before a half-open trial (0 = 2s)")
 		spoolDir     = flag.String("spool-dir", "", "directory for spooling oversized routed bodies (empty = system temp)")
 		faultSpec    = flag.String("fault-spec", "", "chaos-testing fault injection: comma-separated seam:kind:prob[:delay] rules (e.g. store:read-error:0.05)")
 		faultSeed    = flag.Uint64("fault-seed", 1, "deterministic PRNG seed for -fault-spec")
@@ -210,17 +209,15 @@ func main() {
 			cli.Fatal(errors.New("resd: -peers requires -advertise (this node's URL within the peer list)"))
 		}
 		node, err = cluster.New(cluster.Config{
-			Self:             *advertise,
-			Peers:            strings.Split(*peersFlag, ","),
-			Replicas:         *replicas,
-			Service:          svc,
-			RepairInterval:   *repairEvery,
-			BreakerThreshold: *brkThreshold,
-			BreakerCooldown:  *brkCooldown,
-			SpoolDir:         *spoolDir,
-			MaxRouteBody:     *maxBodyMB << 20,
-			Faults:           faults,
-			FlightRec:        flightRec,
+			Self:           *advertise,
+			Peers:          strings.Split(*peersFlag, ","),
+			Replicas:       *replicas,
+			Service:        svc,
+			RepairInterval: *repairEvery,
+			SpoolDir:       *spoolDir,
+			MaxRouteBody:   *maxBodyMB << 20,
+			Faults:         faults,
+			FlightRec:      flightRec,
 		})
 		if err != nil {
 			cli.Fatal(err)

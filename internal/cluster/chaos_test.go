@@ -73,7 +73,6 @@ func TestClusterChaosAllSeams(t *testing.T) {
 		tc.journals[i].SetFaults(in)
 		tc.clusterCfg = func(j int, ncfg Config) Config {
 			ncfg.Faults = injectors[j]
-			ncfg.BreakerCooldown = 200 * time.Millisecond
 			return ncfg
 		}
 		return cfg
@@ -99,7 +98,7 @@ func TestClusterChaosAllSeams(t *testing.T) {
 	}
 
 	// Every job must reach done with the fault-free cause key. Polls also
-	// retry: a cut response body or a transiently opened breaker is a
+	// retry: a cut response body or a peer transiently marked down is a
 	// recoverable read, not a lost result.
 	for i, id := range jobIDs {
 		client := service.NewClient(tc.urls[i%len(tc.urls)])

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -38,31 +39,12 @@ type Config struct {
 	Service *service.Service
 	// ProbeInterval is the /healthz polling period; 0 = DefaultProbeInterval.
 	ProbeInterval time.Duration
-	// FailThreshold is how many consecutive failed observations take a
-	// peer from healthy to down (via suspect); 0 = 2.
-	FailThreshold int
-	// RecoverThreshold is how many consecutive successful probes take a
-	// down peer back to healthy (via recovering); 0 = 2.
-	RecoverThreshold int
 	// Client is the HTTP client for proxying, replication, and probes;
 	// nil = a default with a sane timeout.
 	Client *http.Client
-	// ReplicationTimeout bounds each replication round trip (write-through
-	// push, read-through pull). Replication traffic shares the submission
-	// path — a write-through runs on the worker that produced the result,
-	// a read-through inside the submit-time cache probe — so a slow or
-	// half-dead peer must cost a bounded wait, not the client's full
-	// proxy timeout. 0 = DefaultReplicationTimeout.
-	ReplicationTimeout time.Duration
 	// RepairInterval is the anti-entropy sweep period. 0 disables the
 	// background loop (RepairNow still works on demand).
 	RepairInterval time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// peer's circuit breaker; 0 = 3.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit rejects a peer before
-	// admitting a half-open trial; 0 = 2s.
-	BreakerCooldown time.Duration
 	// SpoolDir is where oversized request bodies spool to disk while
 	// crossing the router; "" = the system temp directory.
 	SpoolDir string
@@ -74,7 +56,7 @@ type Config struct {
 	// only; nil in production.
 	Faults *fault.Injector
 	// FlightRec, when set, receives the cluster layer's operational
-	// events (breaker trips, repair actions, replication faults) —
+	// events (peers marked down, repair actions, replication faults) —
 	// normally the same recorder the local service writes to, so one
 	// ring holds the node's whole story. Nil disables recording.
 	FlightRec *obs.FlightRecorder
@@ -87,9 +69,14 @@ const DefaultReplicas = 2
 // DefaultProbeInterval is the /healthz polling period when unset.
 const DefaultProbeInterval = 2 * time.Second
 
-// DefaultReplicationTimeout bounds one replication round trip when
-// Config.ReplicationTimeout is unset.
-const DefaultReplicationTimeout = 5 * time.Second
+// replicationTimeout bounds one replication round trip: a write-through
+// push, a read-through pull, and the repair sweep's index fetch and
+// existence probe. Replication traffic shares the submission path — a
+// write-through runs on the worker that produced the result, a
+// read-through inside the submit-time cache probe — so a slow or
+// half-dead peer must cost a bounded wait, not the client's full proxy
+// timeout.
+const replicationTimeout = 5 * time.Second
 
 // forwardedHeader marks intra-cluster requests. A request carrying it is
 // served locally no matter what the ring says — the hop that set it
@@ -103,11 +90,10 @@ type Node struct {
 	peers    []string // full membership, sorted, self included
 	replicas int
 	svc      *service.Service
+	local    http.Handler // the service's own API, built once
 	st       *store.Store
 	prober   *prober
-	brk      *breaker
 	hc       *http.Client
-	repTO    time.Duration
 	spoolDir string
 	maxBody  int64
 	fr       *obs.FlightRecorder
@@ -176,10 +162,6 @@ func New(cfg Config) (*Node, error) {
 		faulty.Transport = fault.Transport(hc.Transport, cfg.Faults)
 		hc = &faulty
 	}
-	repTO := cfg.ReplicationTimeout
-	if repTO <= 0 {
-		repTO = DefaultReplicationTimeout
-	}
 	maxBody := cfg.MaxRouteBody
 	if maxBody <= 0 {
 		maxBody = service.DefaultMaxRequestBody
@@ -189,11 +171,10 @@ func New(cfg Config) (*Node, error) {
 		peers:     peers,
 		replicas:  replicas,
 		svc:       cfg.Service,
+		local:     cfg.Service.Handler(),
 		st:        cfg.Service.Store(),
-		prober:    newProber(normalizeURL(cfg.Self), peers, cfg.FailThreshold, cfg.RecoverThreshold),
-		brk:       newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		prober:    newProber(normalizeURL(cfg.Self), peers),
 		hc:        hc,
-		repTO:     repTO,
 		spoolDir:  cfg.SpoolDir,
 		maxBody:   maxBody,
 		fpCache:   make(map[[sha256.Size]byte]string),
@@ -201,13 +182,7 @@ func New(cfg Config) (*Node, error) {
 		fr:        cfg.FlightRec,
 		frags:     obs.NewFragRing(obs.DefaultFragJobs),
 	}
-	// Every health observation — active probe or passive report from the
-	// request path — also feeds the circuit breaker; trips land in the
-	// flight recorder so a post-mortem shows when a peer went dark.
-	n.brk.onTrip = func(peer string) {
-		n.fr.Eventf("breaker", "circuit opened for peer %s", peer)
-	}
-	n.prober.onObserve = n.brk.observe
+	n.prober.fr = cfg.FlightRec
 	n.st.SetReplication(n.writeThrough, n.fetchFromPeers)
 	ctx, cancel := context.WithCancel(context.Background())
 	n.cancel = cancel
@@ -228,12 +203,6 @@ func New(cfg Config) (*Node, error) {
 		}()
 	}
 	return n, nil
-}
-
-// routable combines both exclusion layers: the prober's health state
-// machine and the peer's circuit breaker.
-func (n *Node) routable(peer string) bool {
-	return n.prober.routable(peer) && (peer == n.self || n.brk.allow(peer))
 }
 
 // Close stops the health prober and detaches the replication tier (the
@@ -263,10 +232,72 @@ func normalizeURL(u string) string {
 	return strings.TrimRight(u, "/")
 }
 
-// Owners returns the rendezvous preference order for a program
-// fingerprint: Owners(fp)[0] is the owner, the rest the failover order.
-func (n *Node) Owners(programFP string) []string {
-	return rank(n.peers, programFP)
+// peerCall is the one way a node reaches a peer: it sends method and
+// path to peer with the caller's context and the loop-guard header, and
+// reports a transport failure to the prober before returning it, so
+// every intra-cluster request feeds the health state machine. A caller
+// that gave up (its context canceled) says nothing about the peer and
+// is not reported; a timeout is. body, when non-nil, is JSON;
+// traceparent, when non-empty, carries the caller's span to the peer. hc
+// is n.hc except for the event stream, whose watch legally outlives the
+// client's timeout. The caller closes the response body.
+func (n *Node) peerCall(ctx context.Context, hc *http.Client, method, peer, path string, body io.Reader, traceparent string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, peer+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if sr, ok := body.(*io.SectionReader); ok {
+		// A disk-spooled body gets the length and rewind NewRequest gives
+		// an in-memory one, so the transport can resend it whole.
+		req.ContentLength = sr.Size()
+		req.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(io.NewSectionReader(sr, 0, sr.Size())), nil
+		}
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if traceparent != "" {
+		req.Header.Set(obs.TraceparentHeader, traceparent)
+	}
+	req.Header.Set(forwardedHeader, n.self)
+	resp, err := hc.Do(req)
+	if err != nil && !errors.Is(ctx.Err(), context.Canceled) {
+		n.prober.observe(peer, false, err.Error())
+	}
+	return resp, err
+}
+
+// live filters members down to the peers a request may be offered to
+// now: the routable ones other than self.
+func (n *Node) live(members []string) []string {
+	var out []string
+	for _, peer := range members {
+		if peer != n.self && n.prober.routable(peer) {
+			out = append(out, peer)
+		}
+	}
+	return out
+}
+
+// maxPeerJSON bounds a JSON body read from a peer (a trace, a bucket
+// list, a metrics snapshot, a store index).
+const maxPeerJSON = 16 << 20
+
+// peerJSON GETs path from peer and decodes the JSON answer into v. A
+// status other than 200 is an error.
+func (n *Node) peerJSON(ctx context.Context, peer, path string, v any) error {
+	resp, err := n.peerCall(ctx, n.hc, http.MethodGet, peer, path, nil, "")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	body := io.LimitReader(resp.Body, maxPeerJSON)
+	defer io.Copy(io.Discard, body)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("cluster: %s%s: %s", peer, path, resp.Status)
+	}
+	return json.NewDecoder(body).Decode(v)
 }
 
 // replicaSet returns the top-R nodes for a store key. Results and dump
@@ -299,15 +330,9 @@ func (n *Node) writeThrough(k store.Key, data []byte) {
 	if !replicable(k) {
 		return
 	}
-	for _, peer := range n.replicaSet(k) {
-		if peer == n.self {
-			continue
-		}
-		if !n.routable(peer) {
-			continue // a down node pulls what it missed when it recovers
-		}
-		if err := n.pushArtifact(peer, k, data); err != nil {
-			n.prober.observe(peer, false, err.Error())
+	// A down replica is skipped: it pulls what it missed when it recovers.
+	for _, peer := range n.live(n.replicaSet(k)) {
+		if err := n.pushArtifact(context.Background(), peer, k, data); err != nil {
 			n.fr.Eventf("fault", "write-through of %s to %s failed: %v", k.ID(), peer, err)
 			n.mu.Lock()
 			n.putErrors++
@@ -351,20 +376,14 @@ func verifyArtifact(k store.Key, data []byte) error {
 }
 
 // pushArtifact PUTs one artifact to a peer's internal store endpoint.
-func (n *Node) pushArtifact(peer string, k store.Key, data []byte) error {
+func (n *Node) pushArtifact(ctx context.Context, peer string, k store.Key, data []byte) error {
 	body, err := json.Marshal(artifactEnvelope{k, data})
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.repTO)
+	ctx, cancel := context.WithTimeout(ctx, replicationTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, peer+"/internal/v1/store/"+k.ID(), bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardedHeader, "1")
-	resp, err := n.hc.Do(req)
+	resp, err := n.peerCall(ctx, n.hc, http.MethodPut, peer, "/internal/v1/store/"+k.ID(), bytes.NewReader(body), "")
 	if err != nil {
 		return err
 	}
@@ -390,9 +409,8 @@ func (n *Node) fetchFromPeers(k store.Key) ([]byte, bool) {
 	}
 	id := k.ID()
 	tried := make(map[string]bool, len(n.peers))
-	order := append(n.replicaSet(k), rank(n.peers, k.Program.String())...)
-	for _, peer := range order {
-		if peer == n.self || tried[peer] || !n.routable(peer) {
+	for _, peer := range n.live(append(n.replicaSet(k), rank(n.peers, k.Program.String())...)) {
+		if tried[peer] {
 			continue
 		}
 		tried[peer] = true
@@ -421,16 +439,10 @@ func (n *Node) fetchFromPeers(k store.Key) ([]byte, bool) {
 
 // pullArtifact GETs one artifact from a peer's internal store endpoint.
 func (n *Node) pullArtifact(peer, id string) ([]byte, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), n.repTO)
+	ctx, cancel := context.WithTimeout(context.Background(), replicationTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/internal/v1/store/"+id, nil)
+	resp, err := n.peerCall(ctx, n.hc, http.MethodGet, peer, "/internal/v1/store/"+id, nil, "")
 	if err != nil {
-		return nil, false
-	}
-	req.Header.Set(forwardedHeader, "1")
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		n.prober.observe(peer, false, err.Error())
 		return nil, false
 	}
 	defer resp.Body.Close()

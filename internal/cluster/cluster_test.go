@@ -75,7 +75,7 @@ func TestRendezvousMinimalDisruption(t *testing.T) {
 // ---- health state machine ----
 
 func TestHealthStateMachine(t *testing.T) {
-	p := newProber("self", []string{"self", "peer"}, 2, 2)
+	p := newProber("self", []string{"self", "peer"})
 	st := func() PeerState { return p.state("peer") }
 	if st() != StateHealthy {
 		t.Fatalf("initial state = %v", st())
@@ -206,7 +206,7 @@ type testCluster struct {
 	dir      string
 	// clusterCfg, when set (from inside mkCfg, before the first boot),
 	// tweaks each node's cluster-layer Config — chaos tests use it to arm
-	// fault injectors and shorten breaker timings.
+	// fault injectors.
 	clusterCfg func(i int, cfg Config) Config
 }
 
@@ -717,7 +717,7 @@ func TestThreeNodeFailover(t *testing.T) {
 	}
 
 	// The prober converges on the owner's death: suspect after the first
-	// failed observation, down after FailThreshold.
+	// failed observation, down after failThreshold.
 	deadline = time.Now().Add(10 * time.Second)
 	for {
 		st := tc.nodes[submitIdx].prober.state(tc.urls[ownerIdx])

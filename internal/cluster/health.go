@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"res/internal/obs"
 )
 
 // PeerState is one peer's position in the health state machine:
@@ -16,10 +18,19 @@ import (
 // healthy and suspect peers are routed to (one failed probe is grounds
 // for suspicion, not exclusion — the next request's transport error will
 // skip it anyway); down peers are not; recovering peers are routed to
-// again but must string together RecoverThreshold successful probes
+// again but must string together recoverThreshold successful probes
 // before they count as healthy — a flapping node that fails mid-recovery
 // drops straight back to down.
 type PeerState int
+
+// failThreshold is how many consecutive failed observations take a peer
+// from healthy to down (via suspect); recoverThreshold is how many
+// consecutive successes take a down peer back to healthy (via
+// recovering).
+const (
+	failThreshold    = 2
+	recoverThreshold = 2
+)
 
 const (
 	StateHealthy PeerState = iota
@@ -55,38 +66,26 @@ type peerHealth struct {
 	since time.Time
 }
 
-// prober runs the health state machine over the peer set. Observations
-// come from two sources: periodic GET /healthz probes, and passive
-// reports from the router (a proxy that could not reach its target is as
-// good as a failed probe and arrives earlier).
+// prober runs the health state machine over the peer set: it is the one
+// judge of whether a peer is offered requests. Observations come from two
+// sources: periodic GET /healthz probes, and passive reports from every
+// peer call (a request that could not reach its peer is as good as a
+// failed probe and arrives earlier), so a flapping peer is excluded after
+// failThreshold consecutive failures whichever way they were seen.
 type prober struct {
-	self      string
-	failAfter int // consecutive failures before suspect becomes down
-	okAfter   int // consecutive successes before recovering becomes healthy
-
-	// onObserve, when set, is called (outside the lock) with every
-	// observation — the hook that feeds the circuit breaker from all
-	// existing report sites without touching them.
-	onObserve func(peer string, ok bool)
+	self string
+	// fr, when set, records each transition into down: the moment a
+	// post-mortem needs to see when a peer went dark.
+	fr *obs.FlightRecorder
 
 	mu    sync.Mutex
 	peers map[string]*peerHealth
-
-	probes, transitions uint64
 }
 
-func newProber(self string, peers []string, failAfter, okAfter int) *prober {
-	if failAfter < 1 {
-		failAfter = 2
-	}
-	if okAfter < 1 {
-		okAfter = 2
-	}
+func newProber(self string, peers []string) *prober {
 	p := &prober{
-		self:      self,
-		failAfter: failAfter,
-		okAfter:   okAfter,
-		peers:     make(map[string]*peerHealth),
+		self:  self,
+		peers: make(map[string]*peerHealth),
 	}
 	now := time.Now()
 	for _, n := range peers {
@@ -100,9 +99,6 @@ func newProber(self string, peers []string, failAfter, okAfter int) *prober {
 // observe feeds one observation (probe result or passive report) into
 // the state machine.
 func (p *prober) observe(peer string, ok bool, errMsg string) {
-	if p.onObserve != nil {
-		defer p.onObserve(peer, ok)
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ph, known := p.peers[peer]
@@ -121,7 +117,7 @@ func (p *prober) observe(peer string, ok bool, errMsg string) {
 			ph.oks = 1
 		case StateRecovering:
 			ph.oks++
-			if ph.oks >= p.okAfter {
+			if ph.oks >= recoverThreshold {
 				ph.state = StateHealthy
 				ph.fails, ph.oks = 0, 0
 			}
@@ -132,7 +128,7 @@ func (p *prober) observe(peer string, ok bool, errMsg string) {
 		case StateHealthy, StateSuspect:
 			ph.state = StateSuspect
 			ph.fails++
-			if ph.fails >= p.failAfter {
+			if ph.fails >= failThreshold {
 				ph.state = StateDown
 			}
 		case StateRecovering:
@@ -144,7 +140,9 @@ func (p *prober) observe(peer string, ok bool, errMsg string) {
 	}
 	if ph.state != prev {
 		ph.since = time.Now()
-		p.transitions++
+		if ph.state == StateDown {
+			p.fr.Eventf("health", "peer %s marked down: %s", peer, errMsg)
+		}
 	}
 }
 
@@ -199,7 +197,6 @@ func (p *prober) probeLoop(ctx context.Context, interval time.Duration, hc *http
 		for n := range p.peers {
 			targets = append(targets, n)
 		}
-		p.probes++
 		p.mu.Unlock()
 		for _, peer := range targets {
 			p.probeOne(ctx, peer, hc)

@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"time"
 
@@ -53,10 +53,7 @@ func (n *Node) RepairNow(ctx context.Context) RepairStats {
 			inventory[k] = true
 		}
 	}
-	for _, peer := range n.peers {
-		if peer == n.self || !n.routable(peer) {
-			continue
-		}
+	for _, peer := range n.live(n.peers) {
 		for _, k := range n.peerIndex(ctx, peer) {
 			if replicable(k) {
 				inventory[k] = true
@@ -74,13 +71,7 @@ func (n *Node) RepairNow(ctx context.Context) RepairStats {
 			break
 		}
 		st.Scanned++
-		want := false
-		for _, peer := range n.replicaSet(k) {
-			if peer == n.self {
-				want = true
-				break
-			}
-		}
+		want := slices.Contains(n.replicaSet(k), n.self)
 		data, have := n.st.PeekLocal(k)
 		if have && verifyArtifact(k, data) != nil {
 			// The bytes rotted under their content address: a partial
@@ -107,14 +98,8 @@ func (n *Node) RepairNow(ctx context.Context) RepairStats {
 		if have && len(data) > 0 {
 			// Re-push to any replica that lacks the artifact (cheap HEAD
 			// probe first — the common case is everyone has it).
-			for _, peer := range n.replicaSet(k) {
-				if peer == n.self || !n.routable(peer) {
-					continue
-				}
-				if n.peerHasArtifact(ctx, peer, k.ID()) {
-					continue
-				}
-				if n.pushArtifact(peer, k, data) == nil {
+			for _, peer := range n.live(n.replicaSet(k)) {
+				if !n.peerHasArtifact(ctx, peer, k.ID()) && n.pushArtifact(ctx, peer, k, data) == nil {
 					st.Pushed++
 				}
 			}
@@ -150,27 +135,13 @@ func (n *Node) repairLoop(ctx context.Context, interval time.Duration) {
 	}
 }
 
-// peerIndex fetches one peer's replicable key inventory.
+// peerIndex fetches one peer's key inventory. An index that does not
+// decode whole is dropped whole.
 func (n *Node) peerIndex(ctx context.Context, peer string) []store.Key {
-	ctx, cancel := context.WithTimeout(ctx, n.repTO)
+	ctx, cancel := context.WithTimeout(ctx, replicationTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/internal/v1/store-index", nil)
-	if err != nil {
-		return nil
-	}
-	req.Header.Set(forwardedHeader, "1")
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		n.prober.observe(peer, false, err.Error())
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
 	var keys []store.Key
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&keys); err != nil {
+	if n.peerJSON(ctx, peer, "/internal/v1/store-index", &keys) != nil {
 		return nil
 	}
 	return keys
@@ -178,16 +149,10 @@ func (n *Node) peerIndex(ctx context.Context, peer string) []store.Key {
 
 // peerHasArtifact HEAD-probes a peer's store for one artifact ID.
 func (n *Node) peerHasArtifact(ctx context.Context, peer, id string) bool {
-	ctx, cancel := context.WithTimeout(ctx, n.repTO)
+	ctx, cancel := context.WithTimeout(ctx, replicationTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, peer+"/internal/v1/store/"+id, nil)
+	resp, err := n.peerCall(ctx, n.hc, http.MethodHead, peer, "/internal/v1/store/"+id, nil, "")
 	if err != nil {
-		return false
-	}
-	req.Header.Set(forwardedHeader, "1")
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		n.prober.observe(peer, false, err.Error())
 		return false
 	}
 	io.Copy(io.Discard, resp.Body)

@@ -2,78 +2,70 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"res/internal/service"
+	"res/internal/workload"
 )
 
-// ---- circuit breaker ----
+// ---- peer health ----
 
-func TestBreakerStateMachine(t *testing.T) {
-	b := newBreaker(3, 50*time.Millisecond)
-	if !b.allow("p") {
-		t.Fatal("fresh peer rejected")
+// TestPeerCallsReportTransportFailure sends one request to each endpoint
+// that fans out to the peers, on a node whose only peer is a closed
+// listener: every peer call must report the refused connection to the
+// prober, so the dead peer ends up suspect or down.
+func TestPeerCallsReportTransportFailure(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.observe("p", false)
-	b.observe("p", false)
-	if !b.allow("p") {
-		t.Fatal("circuit opened below the threshold")
+	dead := "http://" + l.Addr().String()
+	l.Close()
+	bug := workload.RaceCounter()
+	register, err := json.Marshal(map[string]string{"name": bug.Name, "source": bug.Source})
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.observe("p", false)
-	if b.allow("p") {
-		t.Fatal("circuit did not open at the threshold")
-	}
-	if open, trips := b.snapshot(); open != 1 || trips != 1 {
-		t.Fatalf("snapshot after trip = (%d open, %d trips), want (1, 1)", open, trips)
-	}
-
-	// Half-open: after the cooldown exactly one trial is admitted.
-	time.Sleep(60 * time.Millisecond)
-	if !b.allow("p") {
-		t.Fatal("no half-open trial after the cooldown")
-	}
-	if b.allow("p") {
-		t.Fatal("second trial admitted while the first is in flight")
-	}
-	// The trial fails: the circuit re-arms its cooldown.
-	b.observe("p", false)
-	if b.allow("p") {
-		t.Fatal("failed trial did not re-open the circuit")
-	}
-	if _, trips := b.snapshot(); trips != 1 {
-		t.Fatalf("re-arming an open circuit counted as a new trip (%d)", trips)
-	}
-
-	// Next trial succeeds: fully closed, unlimited traffic.
-	time.Sleep(60 * time.Millisecond)
-	if !b.allow("p") {
-		t.Fatal("no trial after the re-armed cooldown")
-	}
-	b.observe("p", true)
-	for i := 0; i < 3; i++ {
-		if !b.allow("p") {
-			t.Fatal("closed circuit rejecting traffic")
-		}
-	}
-	if open, _ := b.snapshot(); open != 0 {
-		t.Fatalf("%d circuits open after recovery, want 0", open)
-	}
-
-	// A success from anywhere (e.g. a background probe) closes an open
-	// circuit without waiting for the cooldown.
-	b.observe("p", false)
-	b.observe("p", false)
-	b.observe("p", false)
-	if b.allow("p") {
-		t.Fatal("circuit should be open again")
-	}
-	b.observe("p", true)
-	if !b.allow("p") {
-		t.Fatal("probe success did not close the open circuit")
+	id := strings.Repeat("ab", 32)
+	for _, tc := range []struct{ name, method, path, body string }{
+		{"register", http.MethodPost, "/v1/programs", string(register)},
+		{"result", http.MethodGet, "/v1/results/" + id, ""},
+		{"events", http.MethodGet, "/v1/jobs/" + id + "/events", ""},
+		{"minimize", http.MethodPost, "/v1/jobs/" + id + "/minimize", "{}"},
+		{"trace", http.MethodGet, "/v1/jobs/" + id + "/trace", ""},
+		{"buckets", http.MethodGet, "/v1/buckets", ""},
+		{"federation", http.MethodGet, "/v1/cluster/metrics", ""},
+		{"repair", http.MethodPost, "/internal/v1/repair", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := service.New(service.Config{})
+			defer svc.Shutdown(context.Background())
+			// A long probe interval keeps the probe loop from observing
+			// the dead peer: only the request under test can.
+			n, err := New(Config{Self: "http://self.test", Peers: []string{dead}, Service: svc,
+				ProbeInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			rec := httptest.NewRecorder()
+			n.Handler().ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+			if st := n.prober.state(dead); st != StateSuspect && st != StateDown {
+				t.Errorf("%s %s answered %d and left the dead peer %v, want suspect or down",
+					tc.method, tc.path, rec.Code, st)
+			}
+		})
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 // whole cluster's view. Trace lookups stitch: every node's fragments
 // for the job are gathered and merged into one tree.
 func (n *Node) Handler() http.Handler {
-	local := n.svc.Handler()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/dumps", n.routeSubmit)
 	mux.HandleFunc("POST /v1/dumps/batch", n.routeSubmit)
@@ -59,7 +58,7 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("PUT /internal/v1/store/{id}", n.handleStorePut)
 	mux.HandleFunc("GET /internal/v1/store-index", n.handleStoreIndex)
 	mux.HandleFunc("POST /internal/v1/repair", n.handleRepair)
-	mux.Handle("/", local)
+	mux.Handle("/", n.local)
 	return n.recoverPanics(mux)
 }
 
@@ -98,20 +97,13 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 // hop and must be served locally (the loop guard).
 func forwarded(r *http.Request) bool { return r.Header.Get(forwardedHeader) != "" }
 
-// serveLocal replays a buffered request body into the local service.
-func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
+// serveLocal replays a buffered request body of size bytes into the
+// local service.
+func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body io.Reader, size int64) {
 	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	r2.ContentLength = int64(len(body))
-	n.svc.Handler().ServeHTTP(w, r2)
-}
-
-// serveSpool replays a spooled request body into the local service.
-func (n *Node) serveSpool(w http.ResponseWriter, r *http.Request, sp *spool) {
-	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(sp.NewReader())
-	r2.ContentLength = sp.Size()
-	n.svc.Handler().ServeHTTP(w, r2)
+	r2.Body = io.NopCloser(body)
+	r2.ContentLength = size
+	n.local.ServeHTTP(w, r2)
 }
 
 // maxRouteBody mirrors the service's own request bound (small control
@@ -142,7 +134,7 @@ func (n *Node) routeSubmit(w http.ResponseWriter, r *http.Request) {
 	if forwarded(r) {
 		// The proxying node already routed (and traced) this hop; the
 		// traceparent header it set rides into the local service intact.
-		n.serveSpool(w, r, sp)
+		n.serveLocal(w, r, sp.NewReader(), sp.Size())
 		return
 	}
 	head, err := parseSubmitHead(sp.NewReader())
@@ -287,12 +279,12 @@ func (n *Node) routeToOwner(w http.ResponseWriter, r *http.Request, sp *spool, p
 			span := tr.Root().Child("local")
 			span.SetInt("attempt", int64(i))
 			r.Header.Set(obs.TraceparentHeader, tr.Context(span).Traceparent())
-			n.serveSpool(w, r, sp)
+			n.serveLocal(w, r, sp.NewReader(), sp.Size())
 			span.End()
 			n.recordRouteFrag(w, tr)
 			return
 		}
-		if !n.routable(target) {
+		if !n.prober.routable(target) {
 			lastErr = target + " is down"
 			continue
 		}
@@ -310,7 +302,6 @@ func (n *Node) routeToOwner(w http.ResponseWriter, r *http.Request, sp *spool, p
 		}
 		span.SetStr("error", errMsg)
 		lastErr = errMsg
-		n.prober.observe(target, false, errMsg)
 	}
 	writeErr(w, http.StatusBadGateway, "no live node for program %s: %s", programFP, lastErr)
 }
@@ -327,36 +318,35 @@ func (n *Node) countFailover() {
 // spool's rewind is what makes the failover safe: a target that died
 // mid-transfer consumed a throwaway reader, not the body. traceparent,
 // when non-empty, carries the routing span's context to the target; the
-// job/trace/cached response headers are relayed back so the ingest edge
-// (and the client) learn the job identity this hop produced.
+// relayed job/trace/cached headers tell the ingest edge (and the client)
+// the job identity this hop produced.
 func (n *Node) proxy(w http.ResponseWriter, r *http.Request, sp *spool, target, traceparent string) (bool, string) {
 	t0 := time.Now()
 	defer func() { n.histProxy.Observe(time.Since(t0).Seconds()) }()
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, target+r.URL.Path, sp.NewReader())
+	resp, err := n.peerCall(r.Context(), n.hc, r.Method, target, r.URL.Path, sp.NewReader(), traceparent)
 	if err != nil {
 		return false, err.Error()
 	}
-	req.ContentLength = sp.Size()
-	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(sp.NewReader()), nil }
-	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
-	req.Header.Set(forwardedHeader, n.self)
-	if traceparent != "" {
-		req.Header.Set(obs.TraceparentHeader, traceparent)
-	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return false, err.Error()
-	}
-	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusServiceUnavailable {
 		// The owner is draining: it answered, but will not take the work.
 		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		n.prober.observe(target, false, resp.Status)
 		return false, resp.Status
 	}
+	n.prober.observe(target, true, "")
+	n.relay(w, resp)
+	return true, ""
+}
+
+// relay copies a peer's answer to w — status, content type, the job,
+// trace and cached headers, and body — closes it, and counts the request
+// as proxied.
+func (n *Node) relay(w http.ResponseWriter, resp *http.Response) {
+	defer resp.Body.Close()
 	n.mu.Lock()
 	n.proxied++
 	n.mu.Unlock()
-	n.prober.observe(target, true, "")
 	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
 	for _, h := range []string{service.JobHeader, service.TraceHeader, service.CachedHeader} {
 		if v := resp.Header.Get(h); v != "" {
@@ -365,7 +355,29 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, sp *spool, target, 
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-	return true, ""
+}
+
+// relayFromPeers offers r, with body, to each live peer in turn and
+// relays the first answer accept admits; the others are discarded. It
+// reports whether an answer was relayed.
+func (n *Node) relayFromPeers(w http.ResponseWriter, r *http.Request, hc *http.Client, body []byte, accept func(status int) bool) bool {
+	for _, peer := range n.live(n.peers) {
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
+		}
+		resp, err := n.peerCall(r.Context(), hc, r.Method, peer, r.URL.Path, rd, "")
+		if err != nil {
+			continue
+		}
+		if accept(resp.StatusCode) {
+			n.relay(w, resp)
+			return true
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	return false
 }
 
 // handleRegister registers the program locally and broadcasts the
@@ -380,23 +392,15 @@ func (n *Node) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !forwarded(r) {
-		for _, peer := range n.peers {
-			if peer == n.self || !n.routable(peer) {
-				continue
-			}
-			req, err := http.NewRequest(http.MethodPost, peer+"/v1/programs", bytes.NewReader(body))
-			if err != nil {
-				continue
-			}
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set(forwardedHeader, n.self)
-			if resp, err := n.hc.Do(req); err == nil {
+		for _, peer := range n.live(n.peers) {
+			resp, err := n.peerCall(r.Context(), n.hc, http.MethodPost, peer, "/v1/programs", bytes.NewReader(body), "")
+			if err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}
 		}
 	}
-	n.serveLocal(w, r, body)
+	n.serveLocal(w, r, bytes.NewReader(body), int64(len(body)))
 }
 
 // handleResult answers a result poll from, in order: the local service
@@ -411,34 +415,8 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, job)
 		return
 	}
-	if !forwarded(r) {
-		for _, peer := range n.peers {
-			if peer == n.self || !n.routable(peer) {
-				continue
-			}
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, peer+"/v1/results/"+id, nil)
-			if err != nil {
-				continue
-			}
-			req.Header.Set(forwardedHeader, n.self)
-			resp, err := n.hc.Do(req)
-			if err != nil {
-				n.prober.observe(peer, false, err.Error())
-				continue
-			}
-			if resp.StatusCode == http.StatusOK {
-				n.mu.Lock()
-				n.proxied++
-				n.mu.Unlock()
-				w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-				w.WriteHeader(http.StatusOK)
-				io.Copy(w, resp.Body)
-				resp.Body.Close()
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
+	if !forwarded(r) && n.relayFromPeers(w, r, n.hc, nil, isOK) {
+		return
 	}
 	if data, ok := n.st.GetByID(id); ok && id != journalSnapshotID && looksLikeReport(data) {
 		// The replica tier is the answer of last resort: every node that
@@ -463,44 +441,19 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 // produced. The stream proxy uses an untimed client — a watch legally
 // outlives the router's request timeout.
 func (n *Node) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := n.svc.Job(id); ok || forwarded(r) {
-		n.svc.Handler().ServeHTTP(w, r)
-		return
+	if _, ok := n.svc.Job(r.PathValue("id")); !ok && !forwarded(r) {
+		streamClient := &http.Client{Transport: n.hc.Transport}
+		if n.relayFromPeers(flushWriter{w}, r, streamClient, nil, isOK) {
+			return
+		}
 	}
-	streamClient := &http.Client{Transport: n.hc.Transport}
-	for _, peer := range n.peers {
-		if peer == n.self || !n.routable(peer) {
-			continue
-		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, peer+"/v1/jobs/"+id+"/events", nil)
-		if err != nil {
-			continue
-		}
-		req.Header.Set(forwardedHeader, n.self)
-		resp, err := streamClient.Do(req)
-		if err != nil {
-			n.prober.observe(peer, false, err.Error())
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
-		}
-		n.mu.Lock()
-		n.proxied++
-		n.mu.Unlock()
-		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-		w.WriteHeader(http.StatusOK)
-		flushCopy(w, resp.Body)
-		resp.Body.Close()
-		return
-	}
-	// No peer knows the job either: the local service renders the
-	// canonical answer (a store-backed status, or 404).
-	n.svc.Handler().ServeHTTP(w, r)
+	// This node knows the job, or no peer does: the local service renders
+	// the canonical answer (the stream, a store-backed status, or 404).
+	n.local.ServeHTTP(w, r)
 }
+
+// isOK admits only a 200 answer from a peer.
+func isOK(status int) bool { return status == http.StatusOK }
 
 // handleMinimize routes a minimize request to the node that holds the
 // job's input tuple: locally when this node knows the job, otherwise to
@@ -509,76 +462,31 @@ func (n *Node) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // analysis holds — the cluster routes by job, not by program, because
 // the job ID alone identifies where that state lives.
 func (n *Node) handleMinimize(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouteBody))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	if _, ok := n.svc.Job(id); ok || forwarded(r) {
-		n.serveLocal(w, r, body)
+	// A peer's 404 means it does not know the job either; keep looking.
+	knows := func(status int) bool { return status != http.StatusNotFound }
+	if _, ok := n.svc.Job(r.PathValue("id")); !ok && !forwarded(r) && n.relayFromPeers(w, r, n.hc, body, knows) {
 		return
 	}
-	for _, peer := range n.peers {
-		if peer == n.self || !n.routable(peer) {
-			continue
-		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, peer+"/v1/jobs/"+id+"/minimize", bytes.NewReader(body))
-		if err != nil {
-			continue
-		}
-		if ct := r.Header.Get("Content-Type"); ct != "" {
-			req.Header.Set("Content-Type", ct)
-		}
-		req.Header.Set(forwardedHeader, n.self)
-		resp, err := n.hc.Do(req)
-		if err != nil {
-			n.prober.observe(peer, false, err.Error())
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			// This peer does not know the job; keep looking.
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
-		}
-		n.mu.Lock()
-		n.proxied++
-		n.mu.Unlock()
-		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-		for _, h := range []string{service.JobHeader, service.TraceHeader, service.CachedHeader} {
-			if v := resp.Header.Get(h); v != "" {
-				w.Header().Set(h, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-		resp.Body.Close()
-		return
-	}
-	// No node knows the job: the local service renders the canonical 404.
-	n.serveLocal(w, r, body)
+	// This node knows the job, or no node does: the local service answers
+	// (the canonical 404 in the second case).
+	n.serveLocal(w, r, bytes.NewReader(body), int64(len(body)))
 }
 
-// flushCopy streams r to w, flushing after every chunk so proxied
-// event lines are delivered live rather than buffered.
-func flushCopy(w http.ResponseWriter, r io.Reader) {
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
-	for {
-		nr, err := r.Read(buf)
-		if nr > 0 {
-			if _, werr := w.Write(buf[:nr]); werr != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if err != nil {
-			return
-		}
+// flushWriter flushes after every write, so relayed event lines reach
+// the watcher as they are produced rather than when a buffer fills.
+type flushWriter struct{ http.ResponseWriter }
+
+func (fw flushWriter) Write(p []byte) (int, error) {
+	nw, err := fw.ResponseWriter.Write(p)
+	if f, ok := fw.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
 	}
+	return nw, err
 }
 
 // localFragments gathers everything this node recorded for a job: the
@@ -600,45 +508,21 @@ func (n *Node) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	frags := n.localFragments(id)
 	if !forwarded(r) {
-		for _, peer := range n.peers {
-			if peer == n.self || !n.routable(peer) {
-				continue
+		for _, peer := range n.live(n.peers) {
+			var peerFrags []*obs.TraceData
+			if n.peerJSON(r.Context(), peer, "/internal/v1/trace/"+id, &peerFrags) == nil {
+				frags = append(frags, peerFrags...)
 			}
-			frags = append(frags, n.peerFragments(r, peer, id)...)
 		}
 	}
 	tr := obs.Stitch(frags)
 	if tr == nil {
 		// The local service renders the canonical answer: a no-trace 404
 		// for a job it knows (a cache hit), or unknown job.
-		n.svc.Handler().ServeHTTP(w, r)
+		n.local.ServeHTTP(w, r)
 		return
 	}
 	service.WriteTrace(w, r, tr)
-}
-
-// peerFragments fetches one peer's raw fragments for a job.
-func (n *Node) peerFragments(r *http.Request, peer, id string) []*obs.TraceData {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, peer+"/internal/v1/trace/"+id, nil)
-	if err != nil {
-		return nil
-	}
-	req.Header.Set(forwardedHeader, n.self)
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		n.prober.observe(peer, false, err.Error())
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	var frags []*obs.TraceData
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&frags); err != nil {
-		return nil
-	}
-	return frags
 }
 
 // handleTraceFragments serves this node's fragments for a job — the
@@ -684,12 +568,10 @@ func (n *Node) handleBuckets(w http.ResponseWriter, r *http.Request) {
 	}
 	add(n.svc.Buckets())
 	if !forwarded(r) {
-		for _, peer := range n.peers {
-			if peer == n.self || !n.routable(peer) {
-				continue
-			}
-			if bs, err := n.peerBuckets(r, peer); err == nil {
-				add(bs)
+		for _, peer := range n.live(n.peers) {
+			var list bucketList
+			if n.peerJSON(r.Context(), peer, "/v1/buckets", &list) == nil {
+				add(list.Buckets)
 			}
 		}
 	}
@@ -708,34 +590,12 @@ func (n *Node) handleBuckets(w http.ResponseWriter, r *http.Request) {
 		}
 		return out[i].Key < out[j].Key
 	})
-	writeJSON(w, http.StatusOK, struct {
-		Buckets []service.Bucket `json:"buckets"`
-	}{Buckets: out})
+	writeJSON(w, http.StatusOK, bucketList{Buckets: out})
 }
 
-func (n *Node) peerBuckets(r *http.Request, peer string) ([]service.Bucket, error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, peer+"/v1/buckets", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(forwardedHeader, n.self)
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		n.prober.observe(peer, false, err.Error())
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("cluster: %s", resp.Status)
-	}
-	var parsed struct {
-		Buckets []service.Bucket `json:"buckets"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&parsed); err != nil {
-		return nil, err
-	}
-	return parsed.Buckets, nil
+// bucketList is the GET /v1/buckets body.
+type bucketList struct {
+	Buckets []service.Bucket `json:"buckets"`
 }
 
 // Status is the GET /v1/cluster body.
@@ -866,7 +726,6 @@ func (n *Node) clusterSnapshot() obs.Snapshot {
 	sweeps := n.repairSweeps
 	pulled, pushed, corrupt := n.repairPulled, n.repairPushed, n.repairCorrupt
 	n.mu.Unlock()
-	openNow, trips := n.brk.snapshot()
 	snap := obs.Snapshot{
 		obs.Gauge("resd_cluster_peers", "Cluster membership size (self included).", float64(len(n.peers))),
 		obs.Counter("resd_cluster_proxied_total", "Requests proxied to their owning node.", float64(proxied)),
@@ -877,8 +736,6 @@ func (n *Node) clusterSnapshot() obs.Snapshot {
 		obs.Counter("resd_cluster_replica_fetch_misses_total", "Read-through pulls no peer could answer.", float64(fmisses)),
 		obs.Counter("resd_cluster_replica_serves_total", "Artifacts served to pulling peers.", float64(served)),
 		obs.Counter("resd_cluster_spooled_bytes_total", "Request-body bytes spilled to the router's disk spool.", float64(spooled)),
-		obs.Counter("resd_cluster_breaker_open_total", "Peer circuit-breaker trips (closed to open).", float64(trips)),
-		obs.Gauge("resd_cluster_breaker_open", "Peer circuits currently open.", float64(openNow)),
 		obs.Counter("resd_repair_sweeps_total", "Anti-entropy sweeps completed.", float64(sweeps)),
 		obs.Counter("resd_repair_total", "Artifacts recovered (pulled) by the anti-entropy sweep.", float64(pulled)),
 		obs.Counter("resd_repair_pushed_total", "Artifacts re-pushed to under-replicated peers by the sweep.", float64(pushed)),
@@ -926,27 +783,11 @@ func (n *Node) handleNodeMetrics(w http.ResponseWriter, r *http.Request) {
 // resd_cluster_peer_state), so one dead node never blanks the scrape.
 func (n *Node) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	nodes := []obs.NodeSnapshot{n.nodeSnapshot()}
-	for _, peer := range n.peers {
-		if peer == n.self || !n.routable(peer) {
-			continue
-		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, peer+"/internal/v1/metrics", nil)
-		if err != nil {
-			continue
-		}
-		req.Header.Set(forwardedHeader, n.self)
-		resp, err := n.hc.Do(req)
-		if err != nil {
-			n.prober.observe(peer, false, err.Error())
-			continue
-		}
+	for _, peer := range n.live(n.peers) {
 		var ns obs.NodeSnapshot
-		if resp.StatusCode == http.StatusOK &&
-			json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&ns) == nil {
+		if n.peerJSON(r.Context(), peer, "/internal/v1/metrics", &ns) == nil {
 			nodes = append(nodes, ns)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	obs.WriteProm(w, obs.Merge(nodes))

@@ -10,10 +10,10 @@ import (
 
 // FlightEvent is one entry in the flight recorder: a finished span
 // summary, a warn-or-worse log record, or an operational event (fault
-// injected, breaker tripped, repair action, panic).
+// injected, peer marked down, repair action, panic).
 type FlightEvent struct {
 	TimeUS  int64             `json:"time_us"` // unix microseconds
-	Kind    string            `json:"kind"`    // "span", "log", "fault", "breaker", "repair", "panic"
+	Kind    string            `json:"kind"`    // "span", "log", "fault", "health", "repair", "panic"
 	TraceID string            `json:"trace_id,omitempty"`
 	JobID   string            `json:"job_id,omitempty"`
 	Msg     string            `json:"msg"`

@@ -1377,7 +1377,7 @@ func (s *Service) run(sh *shard, js *jobState) {
 			"elapsed", r.Elapsed.Round(time.Millisecond).String(),
 			"summary", tr.Summary())
 		// A slow analysis is an incident worth a post-mortem: dump the
-		// flight recorder so the surrounding context (breaker trips,
+		// flight recorder so the surrounding context (peers marked down,
 		// repair churn, other slow spans) is captured alongside it.
 		s.cfg.FlightRec.Dump(os.Stderr, "slow-analysis job "+js.job.ID)
 	}
