@@ -83,10 +83,6 @@ type Node struct {
 	fp uint64
 }
 
-// EvidenceCursors exposes the node's evidence-consumption counters
-// (positional with Options.Evidence); diagnostic only.
-func (n *Node) EvidenceCursors() []int32 { return n.ev }
-
 // Steps returns the node's suffix steps, oldest first. Each node's Step is
 // the one that produced it from its parent, and deeper nodes correspond to
 // temporally earlier steps, so walking up from the node yields the steps

@@ -101,13 +101,3 @@ const EvidenceAttachment = "evidence"
 // CheckpointAttachment is the well-known attachment name for checkpoint
 // ring wire bytes (internal/checkpoint's canonical encoding).
 const CheckpointAttachment = "checkpoints"
-
-// PatchAttachment is the well-known attachment name for a candidate-fix
-// patch (internal/fixverify's canonical RESPATCH1 encoding or its text
-// form) riding alongside the dump it claims to fix.
-const PatchAttachment = "patch"
-
-// MinimalReproAttachment is the well-known attachment name for a
-// delta-debugged minimal repro (internal/minimize's canonical RESMINR1
-// encoding) derived from the dump it travels with.
-const MinimalReproAttachment = "minrepro"

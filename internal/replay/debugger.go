@@ -123,14 +123,8 @@ func (d *Debugger) onAccess(tid, pc int, addr uint32, write bool) {
 // Break sets a breakpoint at an instruction index.
 func (d *Debugger) Break(pc int) { d.breakpoints[pc] = true }
 
-// ClearBreak removes a breakpoint.
-func (d *Debugger) ClearBreak(pc int) { delete(d.breakpoints, pc) }
-
 // Watch sets a watchpoint on a memory word.
 func (d *Debugger) Watch(addr uint32) { d.watchpoints[addr] = true }
-
-// ClearWatch removes a watchpoint.
-func (d *Debugger) ClearWatch(addr uint32) { delete(d.watchpoints, addr) }
 
 // Pos returns how many scheduled blocks have executed.
 func (d *Debugger) Pos() int { return d.pos }
@@ -253,17 +247,6 @@ func (d *Debugger) ReverseStep() (Stop, error) {
 	}
 	if err := d.Restart(); err != nil {
 		return Stop{}, err
-	}
-	return d.runTo(target)
-}
-
-// RunTo replays from the start up to (but not including) scheduled block
-// index target.
-func (d *Debugger) RunTo(target int) (Stop, error) {
-	if target < d.pos {
-		if err := d.Restart(); err != nil {
-			return Stop{}, err
-		}
 	}
 	return d.runTo(target)
 }

@@ -641,12 +641,6 @@ func optionsDesc(eff AnalysisConfig, ev evidence.Set, ck *checkpoint.Ring) strin
 	return desc
 }
 
-// optionsFingerprint hashes optionsDesc into the options component of the
-// store key.
-func optionsFingerprint(eff AnalysisConfig, ev evidence.Set, ck *checkpoint.Ring) store.Fingerprint {
-	return store.OptionsFingerprint(optionsDesc(eff, ev, ck))
-}
-
 // noteEvidenceLocked counts an accepted submission's attachments.
 // Caller holds s.mu.
 func (s *Service) noteEvidenceLocked(ev evidence.Set, ck *checkpoint.Ring) {

@@ -288,14 +288,6 @@ func (s *Snapshot) MutableThread(tid int) *ThreadState {
 	return nt
 }
 
-// SetThread installs a thread state in this layer.
-func (s *Snapshot) SetThread(tid int, t *ThreadState) {
-	if s.threads == nil {
-		s.threads = make(map[int]*ThreadState)
-	}
-	s.threads[tid] = t
-}
-
 // DeleteThread removes tid from this layer onward (a spawn unwound).
 func (s *Snapshot) DeleteThread(tid int) {
 	if s.threads == nil {

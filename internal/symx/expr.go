@@ -55,9 +55,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// IsUnary reports whether the operator takes a single operand.
-func (o Op) IsUnary() bool { return o == OpNot || o == OpNeg }
-
 // IsCmp reports whether the operator is a comparison (result 0/1).
 func (o Op) IsCmp() bool { return o == OpEq || o == OpNe || o == OpLt || o == OpLe }
 
