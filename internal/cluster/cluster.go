@@ -124,9 +124,10 @@ type Node struct {
 	histProxy *obs.Histogram
 }
 
-// New assembles a node. The service's store gains the replication tier
-// as a side effect (write-through on Put, read-through pull on miss);
-// call Start to begin health probing and Close to detach.
+// New assembles a node and starts its health probing. The service's
+// store gains the replication tier as a side effect (write-through on
+// Put, read-through pull on miss); call Close to stop probing and
+// detach.
 func New(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: Self is required")

@@ -17,6 +17,7 @@ import (
 	"res/internal/checkpoint"
 	"res/internal/coredump"
 	"res/internal/evidence"
+	"res/internal/obs"
 	"res/internal/service"
 	"res/internal/store"
 	"res/internal/workload"
@@ -76,7 +77,20 @@ func TestRendezvousMinimalDisruption(t *testing.T) {
 
 func TestHealthStateMachine(t *testing.T) {
 	p := newProber("self", []string{"self", "peer"})
+	p.fr = obs.NewFlightRecorder(16)
 	st := func() PeerState { return p.state("peer") }
+	// downEvents counts the flight recorder's records of the peer going
+	// down: one per transition into down, none for other transitions.
+	downEvents := func() int {
+		evs, _ := p.fr.Snapshot()
+		n := 0
+		for _, ev := range evs {
+			if ev.Kind == "health" {
+				n++
+			}
+		}
+		return n
+	}
 	if st() != StateHealthy {
 		t.Fatalf("initial state = %v", st())
 	}
@@ -93,6 +107,9 @@ func TestHealthStateMachine(t *testing.T) {
 	if st() != StateDown || st().Routable() {
 		t.Fatalf("after two failures: %v, want unroutable down", st())
 	}
+	if downEvents() != 1 {
+		t.Fatalf("%d health events after going down, want 1", downEvents())
+	}
 	p.observe("peer", true, "")
 	if st() != StateRecovering || !st().Routable() {
 		t.Fatalf("first success after down: %v, want routable recovering", st())
@@ -100,6 +117,9 @@ func TestHealthStateMachine(t *testing.T) {
 	p.observe("peer", false, "flap")
 	if st() != StateDown {
 		t.Fatalf("flap mid-recovery: %v, want down", st())
+	}
+	if downEvents() != 2 {
+		t.Fatalf("%d health events after the flap, want 2", downEvents())
 	}
 	p.observe("peer", true, "")
 	p.observe("peer", true, "")

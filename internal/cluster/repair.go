@@ -71,7 +71,8 @@ func (n *Node) RepairNow(ctx context.Context) RepairStats {
 			break
 		}
 		st.Scanned++
-		want := slices.Contains(n.replicaSet(k), n.self)
+		replicas := n.replicaSet(k)
+		want := slices.Contains(replicas, n.self)
 		data, have := n.st.PeekLocal(k)
 		if have && verifyArtifact(k, data) != nil {
 			// The bytes rotted under their content address: a partial
@@ -98,7 +99,7 @@ func (n *Node) RepairNow(ctx context.Context) RepairStats {
 		if have && len(data) > 0 {
 			// Re-push to any replica that lacks the artifact (cheap HEAD
 			// probe first — the common case is everyone has it).
-			for _, peer := range n.live(n.replicaSet(k)) {
+			for _, peer := range n.live(replicas) {
 				if !n.peerHasArtifact(ctx, peer, k.ID()) && n.pushArtifact(ctx, peer, k, data) == nil {
 					st.Pushed++
 				}

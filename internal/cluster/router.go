@@ -698,16 +698,15 @@ func (n *Node) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad envelope: %v", err)
 		return
 	}
-	k := env.Key
-	if k.ID() != r.PathValue("id") {
+	if env.Key.ID() != r.PathValue("id") {
 		writeErr(w, http.StatusBadRequest, "key does not hash to %s", r.PathValue("id"))
 		return
 	}
-	if err := verifyArtifact(k, env.Data); err != nil {
+	if err := verifyArtifact(env.Key, env.Data); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if err := n.st.PutLocal(k, env.Data); err != nil {
+	if err := n.st.PutLocal(env.Key, env.Data); err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
