@@ -28,6 +28,29 @@ func checkpointedSubmission(t testing.TB, bug *workload.Bug) (dump, cks []byte) 
 	return dump, ring.Encode()
 }
 
+// TestCheckpointJobIDGolden pins a checkpointed submission's job ID
+// across versions. The ID hashes the options description, which folds
+// in the ring's fingerprint, so a change to how that fingerprint is
+// taken must leave this constant alone.
+func TestCheckpointJobIDGolden(t *testing.T) {
+	const want = "75916d9597394593372f53b23ecaf9b1117d6feb50cda960301dac29527d06d2"
+	bug := workload.LongPrefix(400)
+	svc := New(Config{ShardWorkers: 1, Analysis: AnalysisConfig{MaxDepth: 12, MaxNodes: 4000}})
+	defer svc.Shutdown(context.Background())
+	progID, err := svc.RegisterProgram(bug.Name, bug.Program())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump, cks := checkpointedSubmission(t, bug)
+	job, err := svc.Submit(SubmitRequest{ProgramID: progID, Dump: dump, Checkpoints: cks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.ID != want {
+		t.Fatalf("checkpointed job ID = %s, want %s", job.ID, want)
+	}
+}
+
 // TestCheckpointCacheIdentity is the checkpoint-aware caching contract:
 // the same dump with and without a checkpoint ring are distinct tuples,
 // identical rings cache-hit, the anchored job's report carries the
