@@ -28,8 +28,9 @@ type Checkpoint struct {
 	// Step is the VM step counter at capture time: the number of basic
 	// blocks executed before this state.
 	Step uint64
-	// Mem is the full memory image (sparse on the wire).
-	Mem *mem.Image
+	// Mem is the memory image as its nonzero words over an all-zero base,
+	// the same form the wire carries. State builds the flat image.
+	Mem *mem.Sparse
 	// Threads are the live threads, dense by ID in spawn order.
 	Threads []vm.Thread
 	// Locks maps held mutex addresses to owning thread IDs.
@@ -40,10 +41,11 @@ type Checkpoint struct {
 	HeapNext uint32
 }
 
-// State lowers the checkpoint to the VM's resume form.
+// State lowers the checkpoint to the VM's resume form, with a fresh
+// flat memory image the VM may own.
 func (c *Checkpoint) State() vm.State {
 	return vm.State{
-		Mem:      c.Mem,
+		Mem:      c.Mem.Image(),
 		Threads:  c.Threads,
 		Locks:    c.Locks,
 		Heap:     c.Heap,
@@ -248,7 +250,7 @@ func (r *Recorder) onBlockStart(tid, block int) {
 		st := r.v.CaptureState()
 		r.cks = append(r.cks, &Checkpoint{
 			Step:     idx,
-			Mem:      st.Mem,
+			Mem:      mem.SparseOf(st.Mem),
 			Threads:  st.Threads,
 			Locks:    st.Locks,
 			Heap:     st.Heap,

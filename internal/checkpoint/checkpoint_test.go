@@ -2,8 +2,10 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
+	"res/internal/asm"
 	"res/internal/checkpoint"
 	"res/internal/coredump"
 	"res/internal/mem"
@@ -59,7 +61,7 @@ func TestDecodeRejectsJunk(t *testing.T) {
 	// A wait address wider than 32 bits must be rejected, not truncated
 	// onto the canonical ring's value.
 	ring := &checkpoint.Ring{Interval: 1, Checkpoints: []*checkpoint.Checkpoint{{
-		Mem: mem.NewImage(0), Threads: []vm.Thread{{WaitAddr: 0xdeadbeef}}}}}
+		Mem: mem.NewSparse(0), Threads: []vm.Thread{{WaitAddr: 0xdeadbeef}}}}}
 	canon := ring.Encode()
 	if _, err := checkpoint.Decode(canon); err != nil {
 		t.Fatal(err)
@@ -75,6 +77,44 @@ func TestDecodeRejectsJunk(t *testing.T) {
 	}
 	if r, err := checkpoint.Decode(nil); r != nil || err != nil {
 		t.Fatal("empty input must decode to a nil ring")
+	}
+}
+
+// TestClaimedImageSizeAllocatesNothing: a ring's image size is what its
+// sender claims, up to 2^28 words. Decoding it must not build the
+// images, and Verify must reject a size the program's layout disagrees
+// with before building one: each claimed image here would be 128 MiB.
+func TestClaimedImageSizeAllocatesNothing(t *testing.T) {
+	const claimed = 1 << 24
+	ring := &checkpoint.Ring{Interval: 1}
+	for step := uint64(0); step < 4; step++ {
+		img := mem.NewSparse(claimed)
+		img.Set(claimed-1, 7)
+		ring.Checkpoints = append(ring.Checkpoints, &checkpoint.Checkpoint{
+			Step: step, Mem: img, Threads: []vm.Thread{{}}, Locks: map[uint32]int{}})
+		ring.Sched = append(ring.Sched, checkpoint.SchedRec{})
+	}
+	raw := ring.Encode()
+	p := asm.MustAssemble("func main:\n    halt\n")
+	d := &coredump.Dump{Steps: ring.End()}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dec, err := checkpoint.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ck := range dec.Checkpoints {
+		if ck.Mem.Size() != claimed {
+			t.Fatalf("decoded image size %d, want %d", ck.Mem.Size(), claimed)
+		}
+		if dec.Verify(p, ck, d) {
+			t.Fatalf("checkpoint at step %d verified against a %d-word layout", ck.Step, p.Layout.MemSize)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("decode and verify allocated %d bytes", grew)
 	}
 }
 

@@ -27,6 +27,11 @@ func (r *Ring) Resume(p *prog.Program, ck *Checkpoint, until uint64) (*vm.VM, *c
 	if !r.Covered(ck.Step, until) {
 		return nil, nil, fmt.Errorf("checkpoint: schedule window [%d,%d) does not cover [%d,%d)", r.LogBase, r.End(), ck.Step, until)
 	}
+	// The ring's image size is whatever its sender claimed; check it
+	// before State builds an image that large.
+	if ck.Mem.Size() != p.Layout.MemSize {
+		return nil, nil, fmt.Errorf("checkpoint: memory size %d does not match layout %d", ck.Mem.Size(), p.Layout.MemSize)
+	}
 	// Feed the post-checkpoint inputs in consumption order per channel.
 	inputs := make(map[int64][]int64)
 	for _, in := range r.Inputs {

@@ -83,19 +83,10 @@ func (r *Ring) Encode() []byte {
 			e.Uvarint(freed)
 		}
 		e.Uvarint(uint64(c.HeapNext))
-		words := c.Mem.Words()
-		pairs := 0
-		for _, w := range words {
-			if w != 0 {
-				pairs++
-			}
-		}
-		e.Uvarint(uint64(pairs))
-		for a, w := range words {
-			if w != 0 {
-				e.Uvarint(uint64(a))
-				e.Varint(w)
-			}
+		e.Uvarint(uint64(c.Mem.Len()))
+		for a, w := range c.Mem.All() {
+			e.Uvarint(uint64(a))
+			e.Varint(w)
 		}
 	}
 	e.Uvarint(r.LogBase)
@@ -177,7 +168,7 @@ func Decode(b []byte) (*Ring, error) {
 		c.HeapNext = uint32(d.Uint("heap next", 32))
 		nPairs := d.Count("memory pair count", min(maxMemPairs, memSize))
 		if d.Err() == nil {
-			c.Mem = mem.NewImage(uint32(memSize))
+			c.Mem = mem.NewSparse(uint32(memSize))
 			prev := -1
 			for j := 0; j < nPairs && d.Err() == nil; j++ {
 				a := d.Uvarint()
@@ -194,7 +185,7 @@ func Decode(b []byte) (*Ring, error) {
 					break
 				}
 				prev = int(a)
-				c.Mem.Store(uint32(a), v)
+				c.Mem.Set(uint32(a), v)
 			}
 		}
 		r.Checkpoints = append(r.Checkpoints, c)
@@ -234,8 +225,10 @@ func Decode(b []byte) (*Ring, error) {
 }
 
 // Fingerprint is the content identity of the ring: the hex SHA-256 of
-// its canonical encoding, or "" for an empty ring. The service folds it
-// into the analysis cache key exactly like the evidence fingerprint.
+// its canonical encoding, or "" for an empty ring. Decode accepts only
+// canonical bytes, so this equals wire.Fingerprint of any bytes that
+// decode to the ring; the service takes it that way, from the bytes it
+// received, and folds it into the analysis cache key.
 func (r *Ring) Fingerprint() string {
 	b := r.Encode()
 	if len(b) == 0 {

@@ -19,8 +19,10 @@ type Synthesized struct {
 	Suffix *trace.Suffix
 	Model  symx.Model
 
-	// The reconstructed pre-state Mi.
-	PreMem      *mem.Image
+	// The reconstructed pre-state Mi. PreMem is the dump's image with
+	// the words the suffix reasoned about set over it; it shares the
+	// dump's image as its base.
+	PreMem      *mem.Sparse
 	PreRegs     map[int][isa.NumRegs]int64
 	PreStates   map[int]coredump.ThreadState
 	PreLocks    map[uint32]int

@@ -33,35 +33,33 @@ func (m *Image) Load(addr Addr) Word { return m.words[addr] }
 // Store writes the word at addr.
 func (m *Image) Store(addr Addr, v Word) { m.words[addr] = v }
 
-// Clone returns a deep copy of the image.
+// Clone returns a deep copy of the image. It copies with append, which
+// does not zero the words it is about to overwrite.
 func (m *Image) Clone() *Image {
-	w := make([]Word, len(m.words))
-	copy(w, m.words)
-	return &Image{words: w}
+	return &Image{words: append([]Word(nil), m.words...)}
 }
 
-// Words exposes the backing slice (read-only by convention); used by
-// serialization and diffing.
-func (m *Image) Words() []Word { return m.words }
+// diffBlock is the number of words Diff compares as one array; equal
+// blocks cost a single memory comparison.
+const diffBlock = 256
 
 // Diff returns the addresses at which m and other differ. Images of
 // different sizes differ at every address past the shorter one.
 func (m *Image) Diff(other *Image) []Addr {
 	var out []Addr
-	n := len(m.words)
-	if len(other.words) < n {
-		n = len(other.words)
-	}
-	for i := 0; i < n; i++ {
-		if m.words[i] != other.words[i] {
-			out = append(out, Addr(i))
+	a, b := m.words, other.words
+	n := min(len(a), len(b))
+	for i := 0; i < n; i += diffBlock {
+		if i+diffBlock <= n && *(*[diffBlock]Word)(a[i:]) == *(*[diffBlock]Word)(b[i:]) {
+			continue
+		}
+		for j := i; j < min(i+diffBlock, n); j++ {
+			if a[j] != b[j] {
+				out = append(out, Addr(j))
+			}
 		}
 	}
-	longer := len(m.words)
-	if len(other.words) > longer {
-		longer = len(other.words)
-	}
-	for i := n; i < longer; i++ {
+	for i := n; i < max(len(a), len(b)); i++ {
 		out = append(out, Addr(i))
 	}
 	return out

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -129,5 +130,106 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// diffWords is the word-by-word loop Diff replaced, kept as its
+// reference.
+func diffWords(m, other *Image) []Addr {
+	var out []Addr
+	n := min(len(m.words), len(other.words))
+	for i := 0; i < n; i++ {
+		if m.words[i] != other.words[i] {
+			out = append(out, Addr(i))
+		}
+	}
+	for i := n; i < max(len(m.words), len(other.words)); i++ {
+		out = append(out, Addr(i))
+	}
+	return out
+}
+
+func TestDiffMatchesWordLoop(t *testing.T) {
+	sizes := []uint32{0, 1, 255, 256, 257, 1000, 1 << 16}
+	for _, size := range sizes {
+		a, b := NewImage(size), NewImage(size)
+		for i := range a.words {
+			a.words[i] = Word(i)
+			b.words[i] = Word(i)
+		}
+		// Differences at the first word, on both sides of the first and
+		// the last block edge, and in the tail after the last full block.
+		// Spots past the end (or wrapped below zero) are skipped.
+		tail := size / diffBlock * diffBlock
+		for _, spot := range []uint32{0, diffBlock - 1, diffBlock, tail - 1, tail, size - 1} {
+			if spot >= size {
+				continue
+			}
+			b.Store(spot, -1)
+			got, want := a.Diff(b), diffWords(a, b)
+			if !slices.Equal(got, want) || len(got) != 1 {
+				t.Fatalf("size %d, difference at %d: Diff = %v, word loop = %v", size, spot, got, want)
+			}
+			b.Store(spot, Word(spot))
+		}
+		// Unequal lengths, with and without a difference in the shared
+		// prefix.
+		for _, other := range sizes {
+			a, b := NewImage(size), NewImage(other)
+			if size > 0 && other > 0 {
+				b.Store(0, 9)
+			}
+			if got, want := a.Diff(b), diffWords(a, b); !slices.Equal(got, want) {
+				t.Fatalf("sizes %d and %d: Diff = %v, word loop = %v", size, other, got, want)
+			}
+		}
+	}
+}
+
+func TestSparse(t *testing.T) {
+	m := NewImage(1000)
+	m.Store(0, 5)
+	m.Store(256, -3)
+	m.Store(999, 1<<40)
+	s := SparseOf(m)
+	if s.Size() != 1000 || s.Len() != 3 || !s.InRange(999) || s.InRange(1000) {
+		t.Fatalf("size %d, %d words set", s.Size(), s.Len())
+	}
+	if s.Load(256) != -3 || s.Load(999) != 1<<40 {
+		t.Errorf("set words load as %d, %d", s.Load(256), s.Load(999))
+	}
+	if s.Load(1) != 0 || s.Load(998) != 0 {
+		t.Error("unset word over a nil base is not zero")
+	}
+	if d := s.Image().Diff(m); len(d) != 0 {
+		t.Errorf("Image differs from the image SparseOf read at %v", d)
+	}
+	var addrs []Addr
+	for a := range s.All() {
+		addrs = append(addrs, a)
+	}
+	if !slices.Equal(addrs, []Addr{0, 256, 999}) {
+		t.Errorf("All yields %v", addrs)
+	}
+
+	over := Over(m)
+	if d := over.Image().Diff(m); len(d) != 0 || over.Len() != 0 {
+		t.Errorf("empty overlay differs from its base at %v", d)
+	}
+	over.Set(0, 0)
+	over.Set(10, 7)
+	if over.Load(0) != 0 || over.Load(10) != 7 {
+		t.Error("set words do not shadow the base")
+	}
+	if over.Load(256) != -3 || over.Load(11) != 0 {
+		t.Error("unset word over a real base does not read the base")
+	}
+	img := over.Image()
+	if d := img.Diff(m); !slices.Equal(d, []Addr{0, 10}) {
+		t.Errorf("overlay image differs from its base at %v", d)
+	}
+	img.Store(256, 1)
+	if m.Load(256) != -3 {
+		t.Error("Image shares storage with the base")
 	}
 }

@@ -57,7 +57,7 @@ type Config struct {
 // the debugger drives it step by step.
 func New(p *prog.Program, syn *core.Synthesized, cfg Config) (*vm.VM, error) {
 	st := vm.State{
-		Mem:      syn.PreMem,
+		Mem:      syn.PreMem.Image(),
 		Locks:    syn.PreLocks,
 		Heap:     syn.PreHeap,
 		HeapNext: syn.PreHeapNext,
@@ -123,16 +123,16 @@ func Run(p *prog.Program, syn *core.Synthesized, original *coredump.Dump, cfg Co
 			res.Divergence = &Divergence{Step: i, Reason: fmt.Sprintf("premature fault %v", f)}
 			return res, nil
 		}
-		res.Matches = matches(v, f, original)
 		res.MemDiff = v.Mem.Diff(original.Mem)
+		res.Matches = len(res.MemDiff) == 0 && matches(v, f, original)
 		return res, nil
 	}
 	// No fault surfaced. For global faults (deadlock) verify the end state
 	// instead.
 	if original.Fault.Thread < 0 {
 		res.Fault = original.Fault
-		res.Matches = len(v.Mem.Diff(original.Mem)) == 0
 		res.MemDiff = v.Mem.Diff(original.Mem)
+		res.Matches = len(res.MemDiff) == 0
 		return res, nil
 	}
 	res.Divergence = &Divergence{Step: -1, Reason: "schedule completed without reproducing the fault"}
@@ -140,13 +140,10 @@ func Run(p *prog.Program, syn *core.Synthesized, original *coredump.Dump, cfg Co
 }
 
 // matches compares the replayed failure state against the original dump:
-// fault descriptor, memory, and per-thread registers.
+// fault descriptor and per-thread registers. Run compares memory.
 func matches(v *vm.VM, f *coredump.Fault, original *coredump.Dump) bool {
 	of := original.Fault
 	if f.Kind != of.Kind || f.PC != of.PC || f.Thread != of.Thread || f.Addr != of.Addr {
-		return false
-	}
-	if len(v.Mem.Diff(original.Mem)) != 0 {
 		return false
 	}
 	for _, ot := range original.Threads {

@@ -6,6 +6,7 @@ import (
 	"res/internal/asm"
 	"res/internal/core"
 	"res/internal/coredump"
+	"res/internal/mem"
 	"res/internal/prog"
 	"res/internal/replay"
 	"res/internal/vm"
@@ -91,7 +92,9 @@ func TestReplayDetectsCorruptedPreImage(t *testing.T) {
 	// Corrupt the pre-image: the replay must diverge or mismatch, never
 	// silently "match".
 	addr, _ := p.GlobalAddr("g")
-	syn.PreMem.Store(addr, 12345)
+	img := syn.PreMem.Image()
+	img.Store(addr, 12345)
+	syn.PreMem = mem.SparseOf(img)
 	rr, err := replay.Run(p, syn, d, replay.Config{})
 	if err != nil {
 		t.Fatal(err)

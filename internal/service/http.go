@@ -37,7 +37,8 @@ type SubmitRequest struct {
 	// Checkpoints is the dump's optional checkpoint-ring attachment:
 	// canonical checkpoint wire bytes (internal/checkpoint), base64 on
 	// the wire. It bounds the analysis's backward search and is folded
-	// into the result's cache identity.
+	// into the result's cache identity. The service keeps the slice, so
+	// the caller must not modify it after submitting.
 	Checkpoints []byte           `json:"checkpoints,omitempty"`
 	Trace       obs.TraceContext `json:"-"`
 }

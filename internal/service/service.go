@@ -39,6 +39,7 @@ import (
 	"res/internal/fixverify"
 	"res/internal/obs"
 	"res/internal/store"
+	"res/internal/wire"
 )
 
 // Sentinel errors the submit methods return; the HTTP layer maps them to
@@ -628,15 +629,18 @@ func (s *Service) effectiveAnalysis(o *SubmitOverrides) (AnalysisConfig, store.F
 // optionsDesc folds the attachments' content fingerprints into the
 // canonical analysis-options description: evidence and checkpoints change
 // what the search may conclude, so they are part of the result's cache
-// identity. Mode-specific suffixes (fix verification's patch fingerprint,
-// minimization's mode marker) are appended by the caller before hashing.
-func optionsDesc(eff AnalysisConfig, ev evidence.Set, ck *checkpoint.Ring) string {
+// identity. ckBytes are the checkpoint ring's wire bytes as received;
+// they decoded, so they are canonical and their hash is the ring's
+// fingerprint. Mode-specific suffixes (fix verification's patch
+// fingerprint, minimization's mode marker) are appended by the caller
+// before hashing.
+func optionsDesc(eff AnalysisConfig, ev evidence.Set, ckBytes []byte) string {
 	desc := eff.Canonical()
 	if fp := ev.Fingerprint(); fp != "" {
 		desc += " evidence=" + fp
 	}
-	if fp := ck.Fingerprint(); fp != "" {
-		desc += " checkpoints=" + fp
+	if len(ckBytes) > 0 {
+		desc += " checkpoints=" + wire.Fingerprint(ckBytes)
 	}
 	return desc
 }
@@ -807,14 +811,14 @@ func (s *Service) node() string {
 
 // retainAttachments stores the attachments' canonical wire bytes on the
 // job record. They survive finish() — which drops the decoded forms —
-// so MinimizeJob can rebuild a finished job's exact tuple later.
-func retainAttachments(js *jobState, ev evidence.Set, ck *checkpoint.Ring) {
+// so MinimizeJob can rebuild a finished job's exact tuple later. The
+// checkpoint bytes are the ones the submission carried, which decoded
+// and so are canonical.
+func retainAttachments(js *jobState, ev evidence.Set, ckBytes []byte) {
 	if len(ev) > 0 {
 		js.evidenceBytes = ev.Encode()
 	}
-	if ck != nil && !ck.Empty() {
-		js.checkpointBytes = ck.Encode()
-	}
+	js.checkpointBytes = ckBytes
 }
 
 // submitExtras carries the mode-specific parts of a submission through
@@ -872,7 +876,7 @@ func (s *Service) submitTuple(programID string, dumpBytes, evidenceBytes, checkp
 	ring, err := checkpoint.Decode(checkpointBytes)
 	if err != nil {
 		warnings = append(warnings, fmt.Sprintf("service: bad checkpoints: %v; analyzed without checkpoint anchoring", err))
-		ring = nil
+		ring, checkpointBytes = nil, nil
 	}
 	if len(warnings) > 0 {
 		s.mu.Lock()
@@ -887,7 +891,7 @@ func (s *Service) submitTuple(programID string, dumpBytes, evidenceBytes, checkp
 	}
 	eff, optFP := s.effectiveAnalysis(o)
 	if len(evSet) > 0 || !ring.Empty() || ex.mode != "" {
-		desc := optionsDesc(eff, evSet, ring)
+		desc := optionsDesc(eff, evSet, checkpointBytes)
 		if ex.patch != nil {
 			// The patch is part of the verdict's cache identity: the same
 			// tuple under a different candidate fix is a different job.
@@ -1002,7 +1006,7 @@ func (s *Service) submitTuple(programID string, dumpBytes, evidenceBytes, checkp
 			mode: ex.mode,
 			done: make(chan struct{}),
 		}
-		retainAttachments(js, evSet, ring)
+		retainAttachments(js, evSet, checkpointBytes)
 		close(js.done)
 		s.jobs[id] = js
 		s.addBucketLocked(js.job.Bucket, id)
@@ -1039,7 +1043,7 @@ func (s *Service) submitTuple(programID string, dumpBytes, evidenceBytes, checkp
 		reqTrace:    reqTrace,
 		done:        make(chan struct{}),
 	}
-	retainAttachments(js, evSet, ring)
+	retainAttachments(js, evSet, checkpointBytes)
 	select {
 	case sh.queue <- js:
 	default:

@@ -502,19 +502,20 @@ func (s *Snapshot) Fingerprint() uint64 {
 	return h
 }
 
-// ConcretizeMem materializes the snapshot's memory under a model: the base
-// image with every overlaid expression evaluated. Expressions that fail to
-// evaluate (division by zero under the model) resolve to zero — they are
-// unconstrained by definition or the model would not have validated.
-func (s *Snapshot) ConcretizeMem(m symx.Model) *mem.Image {
-	img := s.Base.Clone()
+// ConcretizeMem materializes the snapshot's memory under a model: every
+// overlaid expression evaluated, set over the base image, which the
+// result shares. Expressions that fail to evaluate (division by zero
+// under the model) resolve to zero — they are unconstrained by definition
+// or the model would not have validated.
+func (s *Snapshot) ConcretizeMem(m symx.Model) *mem.Sparse {
+	img := mem.Over(s.Base)
 	s.ForEachMem(func(a uint32, e *symx.Expr) {
 		v, ok := e.Eval(m)
 		if !ok {
 			v = 0
 		}
 		if img.InRange(a) {
-			img.Store(a, v)
+			img.Set(a, v)
 		}
 	})
 	return img

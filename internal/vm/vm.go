@@ -227,7 +227,9 @@ type State struct {
 	HeapNext uint32
 }
 
-// NewFromState creates a VM resuming from an arbitrary machine state.
+// NewFromState creates a VM resuming from an arbitrary machine state. The
+// VM takes ownership of st.Mem and writes to it: pass an image nothing
+// else holds.
 func NewFromState(p *prog.Program, cfg Config, st State) (*VM, error) {
 	if st.Mem == nil {
 		return nil, fmt.Errorf("vm: state has no memory image")
@@ -237,7 +239,7 @@ func NewFromState(p *prog.Program, cfg Config, st State) (*VM, error) {
 	}
 	v := &VM{
 		P:        p,
-		Mem:      st.Mem.Clone(),
+		Mem:      st.Mem,
 		locks:    make(map[uint32]int, len(st.Locks)),
 		heap:     append([]coredump.HeapObject(nil), st.Heap...),
 		heapNext: st.HeapNext,

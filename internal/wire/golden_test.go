@@ -67,9 +67,9 @@ func goldenEvidence() evidence.Set {
 }
 
 func goldenRing() *checkpoint.Ring {
-	m0 := mem.NewImage(40)
-	m0.Store(2, 300)
-	m8 := goldenMem()
+	m0 := mem.NewSparse(40)
+	m0.Set(2, 300)
+	m8 := mem.SparseOf(goldenMem())
 	return &checkpoint.Ring{
 		Interval: 8,
 		Checkpoints: []*checkpoint.Checkpoint{
