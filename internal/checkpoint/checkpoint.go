@@ -250,7 +250,7 @@ func (r *Recorder) onBlockStart(tid, block int) {
 		st := r.v.CaptureState()
 		r.cks = append(r.cks, &Checkpoint{
 			Step:     idx,
-			Mem:      mem.SparseOf(st.Mem),
+			Mem:      mem.SparseOf(r.v.Mem),
 			Threads:  st.Threads,
 			Locks:    st.Locks,
 			Heap:     st.Heap,

@@ -203,7 +203,9 @@ func TestNavGoto(t *testing.T) {
 	cfg.Hooks = vm.Hooks{OnBlockStart: func(int, int) {
 		for _, want := range targets {
 			if steps == want {
-				probe[want] = gv.CaptureState()
+				st := gv.CaptureState()
+				st.Mem = gv.Mem.Clone()
+				probe[want] = st
 			}
 		}
 		steps++

@@ -284,14 +284,15 @@ func NewFromState(p *prog.Program, cfg Config, st State) (*VM, error) {
 	return v, nil
 }
 
-// CaptureState deep-copies the complete resumable machine state: feeding
-// it to NewFromState (with the same inputs and a forced schedule) resumes
-// the execution bit-exactly. The checkpoint recorder calls it at block
-// boundaries, where the state is well-defined (no instruction is
-// mid-flight).
+// CaptureState deep-copies the resumable machine state other than
+// memory, which it leaves nil: the caller copies v.Mem in the form it
+// keeps (the checkpoint recorder keeps its nonzero words). With Mem set
+// to a copy of v.Mem, feeding the state to NewFromState (with the same
+// inputs and a forced schedule) resumes the execution bit-exactly. The
+// recorder calls it at block boundaries, where the state is well-defined
+// (no instruction is mid-flight).
 func (v *VM) CaptureState() State {
 	st := State{
-		Mem:      v.Mem.Clone(),
 		Locks:    make(map[uint32]int, len(v.locks)),
 		Heap:     append([]coredump.HeapObject(nil), v.heap...),
 		HeapNext: v.heapNext,
