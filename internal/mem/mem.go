@@ -1,5 +1,7 @@
 // Package mem provides the flat word-addressed memory image shared by the
-// concrete VM, coredumps, and the symbolic snapshot machinery.
+// concrete VM, coredumps, and the symbolic snapshot machinery, and the
+// sparse form (the words set over a base) that checkpoints and
+// synthesized pre-states hold.
 package mem
 
 import "res/internal/wire"
