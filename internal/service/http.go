@@ -73,7 +73,8 @@ type BatchSubmitRequest struct {
 	// empty/null for dumps submitted without evidence).
 	Evidence [][]byte `json:"evidence,omitempty"`
 	// Checkpoints, when present, is positional with Dumps (entries may
-	// be empty/null for dumps submitted without a checkpoint ring).
+	// be empty/null for dumps submitted without a checkpoint ring). As
+	// with SubmitRequest, the service keeps each entry's slice.
 	Checkpoints [][]byte         `json:"checkpoints,omitempty"`
 	Trace       obs.TraceContext `json:"-"`
 }
