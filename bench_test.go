@@ -644,8 +644,8 @@ func BenchmarkServiceIngest(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		m := svc.Metrics()
-		b.ReportMetric(m.CacheHitRate, "hitrate/op")
+		hitRate, _ := svc.MetricsSnapshot().Value("resd_cache_hit_rate")
+		b.ReportMetric(hitRate, "hitrate/op")
 	})
 }
 

@@ -268,7 +268,8 @@ func main() {
 	if err := srv.Shutdown(context.Background()); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		slog.Warn("http shutdown", "err", err)
 	}
-	m := svc.Metrics()
-	slog.Info("drained", "submitted", m.Submitted, "completed", m.Completed,
-		"cached", m.CacheHits, "buckets", m.Buckets)
+	snap := svc.MetricsSnapshot()
+	value := func(name string) float64 { v, _ := snap.Value(name); return v }
+	slog.Info("drained", "submitted", value("resd_submitted_total"), "completed", value("resd_completed_total"),
+		"cached", value("resd_cache_hits_total"), "buckets", value("resd_buckets"))
 }

@@ -308,9 +308,7 @@ func newFakePeerRig(t *testing.T, fakeA, fakeB http.Handler) *fakePeerRig {
 }
 
 func (rig *fakePeerRig) counters() (spooled, failovers uint64) {
-	rig.node.mu.Lock()
-	defer rig.node.mu.Unlock()
-	return rig.node.spooledBytes, rig.node.failovers
+	return rig.node.spooledBytes.Load(), rig.node.failovers.Load()
 }
 
 // TestLargeDumpProxyFailoverMidTransfer is the big-body acceptance test:

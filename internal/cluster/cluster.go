@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"res"
@@ -108,16 +109,17 @@ type Node struct {
 	mu sync.Mutex
 	// fpCache memoizes program_source → program fingerprint hex so the
 	// router prices routing at one map hit per submission, not one
-	// assembly.
+	// assembly. Guarded by mu.
 	fpCache map[[sha256.Size]byte]string
 
-	proxied, failovers                        uint64
-	replicaPuts, putErrors                    uint64
-	fetches, fetchMisses                      uint64
-	served                                    uint64 // internal store gets answered for peers
-	spooledBytes                              uint64 // bodies spilled to disk while routing
-	repairSweeps                              uint64
-	repairPulled, repairPushed, repairCorrupt uint64
+	// Counters. clusterSnapshot names each one and gives it its help text.
+	proxied, failovers                        atomic.Uint64
+	replicaPuts, putErrors                    atomic.Uint64
+	fetches, fetchMisses                      atomic.Uint64
+	served                                    atomic.Uint64 // internal store gets answered for peers
+	spooledBytes                              atomic.Uint64 // bodies spilled to disk while routing
+	repairSweeps                              atomic.Uint64
+	repairPulled, repairPushed, repairCorrupt atomic.Uint64
 
 	// histProxy times each intra-cluster proxy hop (request relay plus
 	// the owning node's handling), the resd_cluster_proxy_seconds series.
@@ -335,14 +337,10 @@ func (n *Node) writeThrough(k store.Key, data []byte) {
 	for _, peer := range n.live(n.replicaSet(k)) {
 		if err := n.pushArtifact(context.Background(), peer, k, data); err != nil {
 			n.fr.Eventf("fault", "write-through of %s to %s failed: %v", k.ID(), peer, err)
-			n.mu.Lock()
-			n.putErrors++
-			n.mu.Unlock()
+			n.putErrors.Add(1)
 			continue
 		}
-		n.mu.Lock()
-		n.replicaPuts++
-		n.mu.Unlock()
+		n.replicaPuts.Add(1)
 	}
 }
 
@@ -427,14 +425,10 @@ func (n *Node) fetchFromPeers(k store.Key) ([]byte, bool) {
 		}
 		n.frags.Add(id, tr.Finish())
 		n.fr.Eventf("repair", "read-through pulled %s %s from %s", k.Space, id, peer)
-		n.mu.Lock()
-		n.fetches++
-		n.mu.Unlock()
+		n.fetches.Add(1)
 		return data, true
 	}
-	n.mu.Lock()
-	n.fetchMisses++
-	n.mu.Unlock()
+	n.fetchMisses.Add(1)
 	return nil, false
 }
 

@@ -405,11 +405,11 @@ func TestTwoNodeClusterEndToEnd(t *testing.T) {
 	if !bytes.Equal(normalizeReport(t, job.Report), normalizeReport(t, reference)) {
 		t.Fatalf("cluster report differs from single-node run:\n%s\nvs\n%s", job.Report, reference)
 	}
-	if m := tc.svcs[ownerIdx].Metrics(); m.Completed != 1 {
-		t.Fatalf("owner metrics = %+v, want the analysis to have run on the owner", m)
+	if v, _ := tc.svcs[ownerIdx].MetricsSnapshot().Value("resd_completed_total"); v != 1 {
+		t.Fatalf("owner completed %v analyses, want the analysis to have run on the owner", v)
 	}
-	if m := tc.svcs[otherIdx].Metrics(); m.Completed != 0 {
-		t.Fatalf("non-owner metrics = %+v, want no local analysis", m)
+	if v, _ := tc.svcs[otherIdx].MetricsSnapshot().Value("resd_completed_total"); v != 0 {
+		t.Fatalf("non-owner completed %v analyses, want no local analysis", v)
 	}
 
 	// Replication: the result answers from BOTH nodes — the owner from
@@ -461,8 +461,10 @@ func TestTwoNodeClusterEndToEnd(t *testing.T) {
 	if len(buckets) != 1 || buckets[0].Count != 1 || buckets[0].JobIDs[0] != job.ID {
 		t.Fatalf("buckets after restart = %+v, want the journaled membership", buckets)
 	}
-	if m := tc.svcs[ownerIdx].Metrics(); m.Programs != 1 || m.JournalReplayed == 0 {
-		t.Fatalf("restarted owner metrics = %+v, want journaled program + replayed entries", m)
+	snap := tc.svcs[ownerIdx].MetricsSnapshot()
+	programs, _ := snap.Value("resd_programs")
+	if replayed, _ := snap.Value("resd_journal_replayed"); programs != 1 || replayed == 0 {
+		t.Fatalf("restarted owner has %v programs, %v replayed entries, want journaled program + replayed entries", programs, replayed)
 	}
 
 	// Evidence attachments traverse the proxy byte-exactly. Submit a
@@ -726,13 +728,10 @@ func TestThreeNodeFailover(t *testing.T) {
 	if !bytes.Equal(normalizeReport(t, final.Report), normalizeReport(t, reference)) {
 		t.Fatalf("failover report differs from single-node run:\n%s\nvs\n%s", final.Report, reference)
 	}
-	if m := tc.svcs[failoverIdx].Metrics(); m.Completed != 1 {
-		t.Fatalf("failover node metrics = %+v, want it to have run the analysis", m)
+	if v, _ := tc.svcs[failoverIdx].MetricsSnapshot().Value("resd_completed_total"); v != 1 {
+		t.Fatalf("failover node completed %v analyses, want it to have run the analysis", v)
 	}
-	tc.nodes[submitIdx].mu.Lock()
-	failovers := tc.nodes[submitIdx].failovers
-	tc.nodes[submitIdx].mu.Unlock()
-	if failovers == 0 {
+	if tc.nodes[submitIdx].failovers.Load() == 0 {
 		t.Fatal("submitting node recorded no failover")
 	}
 

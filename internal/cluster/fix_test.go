@@ -96,11 +96,11 @@ func TestTwoNodeFixAndMinimizeRouting(t *testing.T) {
 	if job.Status != service.StatusDone || vrep.Kind != "fixverify" || vrep.Verdict != "fixed" {
 		t.Fatalf("fix job = %+v report %s, want done fixed", job, job.Report)
 	}
-	if m := tc.svcs[ownerIdx].Metrics(); m.FixVerifyTotal != 1 {
-		t.Fatalf("owner metrics = %+v, want the verification to have run on the owner", m)
+	if v, _ := tc.svcs[ownerIdx].MetricsSnapshot().Value("resd_fixverify_total"); v != 1 {
+		t.Fatalf("owner ran %v verifications, want the verification to have run on the owner", v)
 	}
-	if m := tc.svcs[otherIdx].Metrics(); m.FixVerifyTotal != 0 {
-		t.Fatalf("non-owner metrics = %+v, want no local verification", m)
+	if v, _ := tc.svcs[otherIdx].MetricsSnapshot().Value("resd_fixverify_total"); v != 0 {
+		t.Fatalf("non-owner ran %v verifications, want no local verification", v)
 	}
 
 	// The verdict answers byte-identically from BOTH nodes.
@@ -159,7 +159,7 @@ func TestTwoNodeFixAndMinimizeRouting(t *testing.T) {
 	if _, err := res.DecodeMinimalRepro(mrep.Repro); err != nil {
 		t.Fatalf("repro bytes do not decode: %v", err)
 	}
-	if m := tc.svcs[ownerIdx].Metrics(); m.MinimizeTotal != 1 {
-		t.Fatalf("owner metrics = %+v, want the minimization on the owner", m)
+	if v, _ := tc.svcs[ownerIdx].MetricsSnapshot().Value("resd_minimize_total"); v != 1 {
+		t.Fatalf("owner ran %v minimizations, want the minimization on the owner", v)
 	}
 }

@@ -107,12 +107,10 @@ func (n *Node) RepairNow(ctx context.Context) RepairStats {
 		}
 	}
 
-	n.mu.Lock()
-	n.repairSweeps++
-	n.repairPulled += uint64(st.Pulled)
-	n.repairPushed += uint64(st.Pushed)
-	n.repairCorrupt += uint64(st.Corrupt)
-	n.mu.Unlock()
+	n.repairSweeps.Add(1)
+	n.repairPulled.Add(uint64(st.Pulled))
+	n.repairPushed.Add(uint64(st.Pushed))
+	n.repairCorrupt.Add(uint64(st.Corrupt))
 	if st.Pulled > 0 || st.Pushed > 0 || st.Corrupt > 0 || st.Failed > 0 {
 		// Quiet sweeps (the steady state) stay out of the ring; a sweep
 		// that actually repaired something is part of the node's story.

@@ -127,9 +127,7 @@ func (n *Node) routeSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sp.Close()
 	if sp.spilled() {
-		n.mu.Lock()
-		n.spooledBytes += uint64(sp.Size())
-		n.mu.Unlock()
+		n.spooledBytes.Add(uint64(sp.Size()))
 	}
 	if forwarded(r) {
 		// The proxying node already routed (and traced) this hop; the
@@ -274,7 +272,7 @@ func (n *Node) routeToOwner(w http.ResponseWriter, r *http.Request, sp *spool, p
 	for i, target := range order {
 		if target == n.self {
 			if i > 0 {
-				n.countFailover()
+				n.failovers.Add(1)
 			}
 			span := tr.Root().Child("local")
 			span.SetInt("attempt", int64(i))
@@ -295,7 +293,7 @@ func (n *Node) routeToOwner(w http.ResponseWriter, r *http.Request, sp *spool, p
 		span.End()
 		if ok {
 			if i > 0 {
-				n.countFailover()
+				n.failovers.Add(1)
 			}
 			n.recordRouteFrag(w, tr)
 			return
@@ -304,12 +302,6 @@ func (n *Node) routeToOwner(w http.ResponseWriter, r *http.Request, sp *spool, p
 		lastErr = errMsg
 	}
 	writeErr(w, http.StatusBadGateway, "no live node for program %s: %s", programFP, lastErr)
-}
-
-func (n *Node) countFailover() {
-	n.mu.Lock()
-	n.failovers++
-	n.mu.Unlock()
 }
 
 // proxy relays the spooled request to target. The bool reports whether
@@ -344,9 +336,7 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, sp *spool, target, 
 // as proxied.
 func (n *Node) relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
-	n.mu.Lock()
-	n.proxied++
-	n.mu.Unlock()
+	n.proxied.Add(1)
 	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
 	for _, h := range []string{service.JobHeader, service.TraceHeader, service.CachedHeader} {
 		if v := resp.Header.Get(h); v != "" {
@@ -662,9 +652,7 @@ func (n *Node) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		return
 	}
-	n.mu.Lock()
-	n.served++
-	n.mu.Unlock()
+	n.served.Add(1)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(data)
 }
@@ -716,29 +704,20 @@ func (n *Node) handleStorePut(w http.ResponseWriter, r *http.Request) {
 // clusterSnapshot renders the cluster layer's own series as an
 // obs.Snapshot, appended after the service's in every exposition.
 func (n *Node) clusterSnapshot() obs.Snapshot {
-	n.mu.Lock()
-	proxied, failovers := n.proxied, n.failovers
-	rputs, rerrs := n.replicaPuts, n.putErrors
-	fetches, fmisses := n.fetches, n.fetchMisses
-	served := n.served
-	spooled := n.spooledBytes
-	sweeps := n.repairSweeps
-	pulled, pushed, corrupt := n.repairPulled, n.repairPushed, n.repairCorrupt
-	n.mu.Unlock()
 	snap := obs.Snapshot{
 		obs.Gauge("resd_cluster_peers", "Cluster membership size (self included).", float64(len(n.peers))),
-		obs.Counter("resd_cluster_proxied_total", "Requests proxied to their owning node.", float64(proxied)),
-		obs.Counter("resd_cluster_failovers_total", "Proxy attempts that failed over past an unhealthy owner.", float64(failovers)),
-		obs.Counter("resd_cluster_replica_puts_total", "Artifacts written through to peer replicas.", float64(rputs)),
-		obs.Counter("resd_cluster_replica_put_errors_total", "Write-through attempts that failed.", float64(rerrs)),
-		obs.Counter("resd_cluster_replica_fetches_total", "Read-through pulls that recovered an artifact from a peer.", float64(fetches)),
-		obs.Counter("resd_cluster_replica_fetch_misses_total", "Read-through pulls no peer could answer.", float64(fmisses)),
-		obs.Counter("resd_cluster_replica_serves_total", "Artifacts served to pulling peers.", float64(served)),
-		obs.Counter("resd_cluster_spooled_bytes_total", "Request-body bytes spilled to the router's disk spool.", float64(spooled)),
-		obs.Counter("resd_repair_sweeps_total", "Anti-entropy sweeps completed.", float64(sweeps)),
-		obs.Counter("resd_repair_total", "Artifacts recovered (pulled) by the anti-entropy sweep.", float64(pulled)),
-		obs.Counter("resd_repair_pushed_total", "Artifacts re-pushed to under-replicated peers by the sweep.", float64(pushed)),
-		obs.Counter("resd_repair_corrupt_total", "Local artifacts dropped by the sweep for failing content verification.", float64(corrupt)),
+		obs.Counter("resd_cluster_proxied_total", "Requests proxied to their owning node.", float64(n.proxied.Load())),
+		obs.Counter("resd_cluster_failovers_total", "Proxy attempts that failed over past an unhealthy owner.", float64(n.failovers.Load())),
+		obs.Counter("resd_cluster_replica_puts_total", "Artifacts written through to peer replicas.", float64(n.replicaPuts.Load())),
+		obs.Counter("resd_cluster_replica_put_errors_total", "Write-through attempts that failed.", float64(n.putErrors.Load())),
+		obs.Counter("resd_cluster_replica_fetches_total", "Read-through pulls that recovered an artifact from a peer.", float64(n.fetches.Load())),
+		obs.Counter("resd_cluster_replica_fetch_misses_total", "Read-through pulls no peer could answer.", float64(n.fetchMisses.Load())),
+		obs.Counter("resd_cluster_replica_serves_total", "Artifacts served to pulling peers.", float64(n.served.Load())),
+		obs.Counter("resd_cluster_spooled_bytes_total", "Request-body bytes spilled to the router's disk spool.", float64(n.spooledBytes.Load())),
+		obs.Counter("resd_repair_sweeps_total", "Anti-entropy sweeps completed.", float64(n.repairSweeps.Load())),
+		obs.Counter("resd_repair_total", "Artifacts recovered (pulled) by the anti-entropy sweep.", float64(n.repairPulled.Load())),
+		obs.Counter("resd_repair_pushed_total", "Artifacts re-pushed to under-replicated peers by the sweep.", float64(n.repairPushed.Load())),
+		obs.Counter("resd_repair_corrupt_total", "Local artifacts dropped by the sweep for failing content verification.", float64(n.repairCorrupt.Load())),
 	}
 	states := map[string]int{}
 	for _, ps := range n.prober.snapshot() {

@@ -155,6 +155,35 @@ func TestStitchNilAndEmpty(t *testing.T) {
 	}
 }
 
+// TestSnapshotValue reads counters and gauges by name and label subset;
+// histograms and absent series are not found.
+func TestSnapshotValue(t *testing.T) {
+	snap := Snapshot{
+		Counter("c_total", "c", 3),
+		Counter("k_total", "k", 1).With("kind", "a", "mode", "x"),
+		Counter("k_total", "k", 2).With("kind", "b", "mode", "x"),
+		HistogramMetric("h_seconds", "h", NewHistogram(MicroBuckets).Snapshot()),
+	}
+	for _, tc := range []struct {
+		name string
+		kv   []string
+		want float64
+		ok   bool
+	}{
+		{"c_total", nil, 3, true},
+		{"k_total", nil, 1, true},
+		{"k_total", []string{"kind", "b"}, 2, true},
+		{"k_total", []string{"mode", "x", "kind", "b"}, 2, true},
+		{"k_total", []string{"kind", "c"}, 0, false},
+		{"h_seconds", nil, 0, false},
+		{"absent_total", nil, 0, false},
+	} {
+		if got, ok := snap.Value(tc.name, tc.kv...); got != tc.want || ok != tc.ok {
+			t.Errorf("Value(%s, %q) = %v, %v; want %v, %v", tc.name, tc.kv, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestMergeMismatchedBuckets(t *testing.T) {
 	h := &HistData{Bounds: []float64{0.1, 1, 10}, Counts: []uint64{0, 0, 0, 0}}
 	o := &HistData{Bounds: []float64{0.05, 0.5, 5, 50}, Counts: []uint64{1, 2, 3, 4, 5}, Sum: 100, Count: 15}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -57,6 +58,25 @@ func (m Metric) With(kv ...string) Metric {
 	}
 	m.Labels = labels
 	return m
+}
+
+// Value returns the value of the first counter or gauge series named
+// name that carries every given label pair (k1, v1, k2, v2, ...). The
+// boolean is false when the snapshot holds no such series.
+func (s Snapshot) Value(name string, kv ...string) (float64, bool) {
+next:
+	for _, m := range s {
+		if m.Name != name || m.Type == "histogram" {
+			continue
+		}
+		for i := 0; i+1 < len(kv); i += 2 {
+			if !slices.Contains(m.Labels, Label{K: kv[i], V: kv[i+1]}) {
+				continue next
+			}
+		}
+		return m.Value, true
+	}
+	return 0, false
 }
 
 func (m Metric) labelKey() string {

@@ -137,14 +137,14 @@ func TestCheckpointCacheIdentity(t *testing.T) {
 		t.Fatalf("degraded job not marked: %+v", degraded)
 	}
 
-	m := svc.Metrics()
-	if m.CheckpointAttached != 2 {
-		t.Errorf("CheckpointAttached = %d, want 2", m.CheckpointAttached)
+	m := metrics(t, svc)
+	if v := m("resd_checkpoint_attached_total"); v != 2 {
+		t.Errorf("resd_checkpoint_attached_total = %v, want 2", v)
 	}
-	if m.CheckpointAnchored != 1 {
-		t.Errorf("CheckpointAnchored = %d, want 1", m.CheckpointAnchored)
+	if v := m("resd_checkpoint_anchored_total"); v != 1 {
+		t.Errorf("resd_checkpoint_anchored_total = %v, want 1", v)
 	}
-	if m.AttachmentsDegraded != 1 {
-		t.Errorf("AttachmentsDegraded = %d, want 1", m.AttachmentsDegraded)
+	if v := m("resd_attachments_degraded_total"); v != 1 {
+		t.Errorf("resd_attachments_degraded_total = %v, want 1", v)
 	}
 }

@@ -145,12 +145,12 @@ func TestEvidenceCacheIdentity(t *testing.T) {
 		t.Fatalf("degraded job not marked: %+v", degraded)
 	}
 
-	m := svc.Metrics()
-	if m.EvidenceAttached != 3 {
-		t.Errorf("EvidenceAttached = %d, want 3", m.EvidenceAttached)
+	m := metrics(t, svc)
+	if v := m("resd_evidence_attached_total"); v != 3 {
+		t.Errorf("resd_evidence_attached_total = %v, want 3", v)
 	}
-	if m.EvidenceSources["event-log"] == 0 {
-		t.Errorf("per-kind evidence counters missing: %+v", m.EvidenceSources)
+	if m("resd_evidence_sources_total", "kind", "event-log") == 0 {
+		t.Errorf("per-kind evidence counter for event-log is 0")
 	}
 }
 

@@ -225,11 +225,9 @@ func (s *Service) runMinimize(sh *shard, js *jobState) {
 		return
 	}
 	s.store.Put(js.key, rep)
-	s.mu.Lock()
-	s.minimizeTotal++
-	s.minimizeRuns += uint64(m.Runs)
-	s.minimizeReductions += uint64(m.Reductions)
-	s.mu.Unlock()
+	s.minimizeTotal.Add(1)
+	s.minimizeRuns.Add(uint64(m.Runs))
+	s.minimizeReductions.Add(uint64(m.Reductions))
 	slog.Info("minimization complete",
 		"trace_id", js.job.TraceID, "job_id", js.job.ID, "program", sh.name,
 		"cause_key", m.CauseKey, "sources", fmt.Sprintf("%d/%d", m.MinSources, m.OrigSources),
@@ -289,7 +287,6 @@ func (s *Service) completeFixVerify(sh *shard, js *jobState, r *res.Result) {
 		s.store.Put(js.key, rep)
 	}
 	s.mu.Lock()
-	s.fixverifyTotal++
 	if s.fixverifyVerdicts == nil {
 		s.fixverifyVerdicts = make(map[string]uint64)
 	}

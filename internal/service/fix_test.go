@@ -162,12 +162,12 @@ func TestSubmitFixVerdicts(t *testing.T) {
 		t.Fatal("analysis job shares an ID with a fix job")
 	}
 
-	m := svc.Metrics()
-	if m.FixVerifyTotal != 2 {
-		t.Fatalf("fixverify total = %d, want 2", m.FixVerifyTotal)
+	m := metrics(t, svc)
+	if v := m("resd_fixverify_total"); v != 2 {
+		t.Fatalf("fixverify total = %v, want 2", v)
 	}
-	if m.FixVerifyVerdicts["fixed"] != 1 || m.FixVerifyVerdicts["not-fixed"] != 1 {
-		t.Fatalf("verdict counters = %+v", m.FixVerifyVerdicts)
+	if fixed, notFixed := m("resd_fixverify_verdicts_total", "verdict", "fixed"), m("resd_fixverify_verdicts_total", "verdict", "not-fixed"); fixed != 1 || notFixed != 1 {
+		t.Fatalf("verdict counters = fixed %v not-fixed %v, want 1 and 1", fixed, notFixed)
 	}
 }
 
@@ -310,9 +310,10 @@ func TestMinimizeJob(t *testing.T) {
 	if again.ID != mdone.ID || !again.Cached || !bytes.Equal(again.Report, mdone.Report) {
 		t.Fatalf("re-minimize = %+v, want cached byte-identical repro", again)
 	}
-	met := svc.Metrics()
-	if met.MinimizeTotal != 1 || met.MinimizeRuns < 2 || met.MinimizeReductions < 1 {
-		t.Fatalf("minimize metrics = total %d runs %d reductions %d", met.MinimizeTotal, met.MinimizeRuns, met.MinimizeReductions)
+	met := metrics(t, svc)
+	if met("resd_minimize_total") != 1 || met("resd_minimize_runs_total") < 2 || met("resd_minimize_reductions_total") < 1 {
+		t.Fatalf("minimize metrics = total %v runs %v reductions %v",
+			met("resd_minimize_total"), met("resd_minimize_runs_total"), met("resd_minimize_reductions_total"))
 	}
 }
 

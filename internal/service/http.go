@@ -454,10 +454,12 @@ func (s *Service) handleBuckets(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
-	m := s.Metrics()
+	s.mu.Lock()
+	draining := s.draining
+	s.mu.Unlock()
 	code := http.StatusOK
 	status := "ok"
-	if m.Draining {
+	if draining {
 		code = http.StatusServiceUnavailable
 		status = "draining"
 	}

@@ -103,7 +103,7 @@ func (s *Service) evictJobsLocked() {
 			continue // evicted already, or requeued: a newer entry governs it
 		}
 		delete(s.jobs, ent.id)
-		s.jobsEvicted++
+		s.jobsEvicted.Add(1)
 		if js.job.Status == StatusDone && !js.job.Partial {
 			s.insertEvictedLocked(ent.id, evictedRec{
 				key: js.key, program: js.job.Program, programName: js.job.ProgramName,
@@ -277,32 +277,14 @@ func (s *Service) Buckets() []Bucket {
 	return out
 }
 
-// bucketSignature derives the dedup key from a completed analysis. The
-// strongest signal is the root-cause key (stable across manifestations of
-// one bug — the paper's fix for WER over-splitting); with no cause, a
-// synthesized suffix's schedule shape still groups alike failures; with
-// neither, the verdict is all there is.
-func bucketSignature(app string, r *res.Result) string {
-	if r.Cause != nil {
-		return app + "|" + r.Cause.Key()
-	}
-	if r.Suffix != nil && len(r.Suffix.Steps) > 0 {
-		h := sha256.New()
-		for _, st := range r.Suffix.Steps {
-			fmt.Fprintln(h, st.String())
-		}
-		return app + "|suffix:" + hex.EncodeToString(h.Sum(nil)[:6])
-	}
-	if r.HardwareSuspect {
-		return app + "|hardware-suspect"
-	}
-	return app + "|no-cause"
-}
-
-// bucketFromReport recovers the dedup key from a stored report (the
-// cache-hit path, where no res.Result exists in memory). It mirrors
-// bucketSignature over the report's exported schema, res.ReportJSON, so
-// a cached job lands in the same bucket a fresh analysis would.
+// bucketFromReport derives a job's dedup key from its report bytes —
+// the bytes a fresh analysis stores and a cache hit reads back — so both
+// paths put a tuple in the same bucket. It reads the report's exported
+// schema, res.ReportJSON. The strongest signal is the root-cause key
+// (stable across manifestations of one bug — the paper's fix for WER
+// over-splitting); with no cause, a synthesized suffix's schedule shape
+// still groups alike failures; with neither, the verdict is all there
+// is.
 func bucketFromReport(app string, rep []byte) string {
 	// Service-mode reports (fix verdicts, minimal repros) carry a "kind"
 	// discriminator that analysis reports never do; they describe work on

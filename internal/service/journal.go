@@ -382,9 +382,7 @@ func (s *Service) replayJournal() {
 			}
 		}
 	}
-	s.mu.Lock()
-	s.journalReplayed = n
-	s.mu.Unlock()
+	s.journalReplayed.Store(uint64(n))
 }
 
 // replayProgram re-registers one journaled program; a source that no

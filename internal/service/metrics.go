@@ -1,191 +1,99 @@
 package service
 
 import (
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 
 	"res/internal/obs"
-	"res/internal/store"
 )
-
-// ShardMetrics is one program pool's counters.
-type ShardMetrics struct {
-	Program    string `json:"program"`
-	Name       string `json:"name,omitempty"`
-	QueueDepth int    `json:"queue_depth"`
-	Submitted  uint64 `json:"submitted"`
-	Completed  uint64 `json:"completed"`
-	Failed     uint64 `json:"failed"`
-	Cached     uint64 `json:"cached"`
-	Rejected   uint64 `json:"rejected"`
-}
-
-// Metrics is a consistent snapshot of service health.
-type Metrics struct {
-	QueueDepth   int         `json:"queue_depth"`
-	Submitted    uint64      `json:"submitted"`
-	Completed    uint64      `json:"completed"`
-	Failed       uint64      `json:"failed"`
-	Canceled     uint64      `json:"canceled"`
-	Rejected     uint64      `json:"rejected"`
-	Coalesced    uint64      `json:"coalesced"`
-	Retried      uint64      `json:"retried"`
-	CacheHits    uint64      `json:"cache_hits"`
-	CacheMisses  uint64      `json:"cache_misses"`
-	CacheHitRate float64     `json:"cache_hit_rate"`
-	Store        store.Stats `json:"store"`
-	Jobs         int         `json:"jobs"`
-	JobsEvicted  uint64      `json:"jobs_evicted"`
-	Buckets      int         `json:"buckets"`
-	Programs     int         `json:"programs"`
-	Draining     bool        `json:"draining"`
-	// EvidenceAttached counts accepted submissions that carried an
-	// evidence attachment; EvidenceSources breaks them down per kind.
-	EvidenceAttached uint64            `json:"evidence_attached"`
-	EvidenceSources  map[string]uint64 `json:"evidence_sources,omitempty"`
-	// CheckpointAttached counts accepted submissions that carried a
-	// checkpoint-ring attachment; CheckpointAnchored counts completed
-	// analyses whose search anchored on one of its checkpoints.
-	CheckpointAttached uint64 `json:"checkpoint_attached"`
-	CheckpointAnchored uint64 `json:"checkpoint_anchored"`
-	// AttachmentsDegraded counts submissions whose evidence or checkpoint
-	// attachment failed to decode and was dropped: the analysis ran
-	// without it instead of rejecting the dump.
-	AttachmentsDegraded uint64 `json:"attachments_degraded,omitempty"`
-	// FixVerifyTotal counts completed fix verifications; FixVerifyVerdicts
-	// breaks them down per verdict.
-	FixVerifyTotal    uint64            `json:"fixverify_total,omitempty"`
-	FixVerifyVerdicts map[string]uint64 `json:"fixverify_verdicts,omitempty"`
-	// MinimizeTotal counts completed minimizations; MinimizeRuns the
-	// analyzer re-runs they spent; MinimizeReductions the reductions that
-	// survived (kept because the cause key was preserved).
-	MinimizeTotal      uint64       `json:"minimize_total,omitempty"`
-	MinimizeRuns       uint64       `json:"minimize_runs,omitempty"`
-	MinimizeReductions uint64       `json:"minimize_reductions,omitempty"`
-	Journal            JournalStats `json:"journal,omitzero"`
-	// JournalReplayed counts entries restored from the journal at startup.
-	JournalReplayed int            `json:"journal_replayed,omitempty"`
-	Shards          []ShardMetrics `json:"shards"`
-}
-
-// Metrics returns a snapshot of all counters.
-func (s *Service) Metrics() Metrics {
-	s.mu.Lock()
-	m := Metrics{
-		Submitted: s.submitted, Completed: s.completed, Failed: s.failed,
-		Canceled: s.canceled, Rejected: s.rejected, Coalesced: s.coalesced,
-		Retried:   s.retried,
-		CacheHits: s.cacheHits, CacheMisses: s.cacheMisses,
-		Jobs: len(s.jobs), JobsEvicted: s.jobsEvicted,
-		Buckets: len(s.buckets), Programs: len(s.shards),
-		Draining:            s.draining,
-		JournalReplayed:     s.journalReplayed,
-		EvidenceAttached:    s.evidenceAttached,
-		CheckpointAttached:  s.checkpointAttached,
-		CheckpointAnchored:  s.checkpointAnchored,
-		AttachmentsDegraded: s.attachmentsDegraded,
-		FixVerifyTotal:      s.fixverifyTotal,
-		MinimizeTotal:       s.minimizeTotal,
-		MinimizeRuns:        s.minimizeRuns,
-		MinimizeReductions:  s.minimizeReductions,
-	}
-	if len(s.fixverifyVerdicts) > 0 {
-		m.FixVerifyVerdicts = make(map[string]uint64, len(s.fixverifyVerdicts))
-		for k, v := range s.fixverifyVerdicts {
-			m.FixVerifyVerdicts[k] = v
-		}
-	}
-	if len(s.evidenceKinds) > 0 {
-		m.EvidenceSources = make(map[string]uint64, len(s.evidenceKinds))
-		for k, v := range s.evidenceKinds {
-			m.EvidenceSources[k] = v
-		}
-	}
-	if total := m.CacheHits + m.CacheMisses; total > 0 {
-		m.CacheHitRate = float64(m.CacheHits) / float64(total)
-	}
-	for id, sh := range s.shards {
-		depth := len(sh.queue)
-		m.QueueDepth += depth
-		m.Shards = append(m.Shards, ShardMetrics{
-			Program: id, Name: sh.name, QueueDepth: depth,
-			Submitted: sh.submitted, Completed: sh.completed,
-			Failed: sh.failed, Cached: sh.cached, Rejected: sh.rejected,
-		})
-	}
-	s.mu.Unlock()
-	sort.Slice(m.Shards, func(i, j int) bool { return m.Shards[i].Program < m.Shards[j].Program })
-	m.Store = s.store.Stats()
-	if s.cfg.Journal != nil {
-		m.Journal = s.cfg.Journal.Stats()
-	}
-	return m
-}
 
 // MetricsSnapshot renders every service metric as an obs.Snapshot —
 // the single source of truth behind GET /metrics (Prometheus text via
 // obs.WriteProm) and cluster federation (obs.NodeSnapshot JSON, merged
-// by GET /v1/cluster/metrics).
+// by GET /v1/cluster/metrics). It is the one place a service counter
+// gets its series name and help text. Counters are read one at a time,
+// not as one locked cut: a scrape taken while jobs run may see one
+// counter move before another.
 func (s *Service) MetricsSnapshot() obs.Snapshot {
-	m := s.Metrics()
+	s.mu.Lock()
+	jobs, buckets := len(s.jobs), len(s.buckets)
+	ids := slices.Sorted(maps.Keys(s.shards))
+	shards := make([]*shard, len(ids))
+	for i, id := range ids {
+		shards[i] = s.shards[id]
+	}
+	kinds := counterFamily("resd_evidence_sources_total",
+		"Evidence sources attached to accepted submissions, per kind.", "kind", s.evidenceKinds)
+	verdicts := counterFamily("resd_fixverify_verdicts_total",
+		"Completed fix verifications, per verdict.", "verdict", s.fixverifyVerdicts)
+	var fixverified uint64
+	for _, n := range s.fixverifyVerdicts {
+		fixverified += n
+	}
+	s.mu.Unlock()
+
+	// One pass over the shards builds the three per-shard families; each
+	// is appended whole below, because series sharing a name must be
+	// contiguous in the exposition.
+	var queued int
+	var shardDepth, shardSubmitted, shardCached obs.Snapshot
+	for i, sh := range shards {
+		depth := len(sh.queue)
+		queued += depth
+		shardDepth = append(shardDepth, obs.Gauge("resd_shard_queue_depth", "Dumps queued per program shard.",
+			float64(depth)).With("program", ids[i], "name", sh.name))
+		shardSubmitted = append(shardSubmitted, obs.Counter("resd_shard_submitted_total", "Dumps accepted per program shard.",
+			float64(sh.submitted.Load())).With("program", ids[i], "name", sh.name))
+		shardCached = append(shardCached, obs.Counter("resd_shard_cached_total", "Cache-hit responses per program shard.",
+			float64(sh.cached.Load())).With("program", ids[i], "name", sh.name))
+	}
+	hits, misses, coalesced := s.cacheHits.Load(), s.cacheMisses.Load(), s.coalesced.Load()
+	var hitRate float64
+	if hits+misses > 0 {
+		hitRate = float64(hits) / float64(hits+misses)
+	}
+	st := s.store.Stats()
+	var js JournalStats
+	if s.cfg.Journal != nil {
+		js = s.cfg.Journal.Stats()
+	}
 	snap := obs.Snapshot{
-		obs.Gauge("resd_queue_depth", "Dumps queued across all shards.", float64(m.QueueDepth)),
-		obs.Counter("resd_submitted_total", "Dumps accepted (fresh, cached, or coalesced).", float64(m.Submitted)),
-		obs.Counter("resd_completed_total", "Analyses finished successfully.", float64(m.Completed)),
-		obs.Counter("resd_failed_total", "Analyses that failed.", float64(m.Failed)),
-		obs.Counter("resd_canceled_total", "Jobs canceled during drain.", float64(m.Canceled)),
-		obs.Counter("resd_rejected_total", "Submissions rejected by backpressure.", float64(m.Rejected)),
-		obs.Counter("resd_coalesced_total", "Duplicate submissions merged onto in-flight jobs.", float64(m.Coalesced)),
-		obs.Counter("resd_cache_hits_total", "Submissions served from the result store.", float64(m.CacheHits)),
-		obs.Counter("resd_cache_misses_total", "Submissions that required fresh analysis.", float64(m.CacheMisses)),
-		obs.Gauge("resd_cache_hit_rate", "cache_hits / (cache_hits + cache_misses).", m.CacheHitRate),
-		obs.Gauge("resd_store_entries", "Result-store memory-tier population.", float64(m.Store.Entries)),
-		obs.Counter("resd_store_disk_hits_total", "Store gets answered by the disk tier.", float64(m.Store.DiskHits)),
-		obs.Counter("resd_store_evictions_total", "LRU evictions from the store memory tier.", float64(m.Store.Evictions)),
-		obs.Gauge("resd_buckets", "Distinct crash-dedup buckets.", float64(m.Buckets)),
-		obs.Gauge("resd_programs", "Registered program shards.", float64(m.Programs)),
-		obs.Gauge("resd_jobs", "Job records retained in memory.", float64(m.Jobs)),
-		obs.Counter("resd_jobs_evicted_total", "Terminal job records evicted by the MaxJobs/JobRetention bounds.", float64(m.JobsEvicted)),
-		obs.Counter("resd_jobs_retried_total", "Failed analyses re-queued by the retry policy.", float64(m.Retried)),
-		obs.Counter("resd_evidence_attached_total", "Accepted submissions carrying an evidence attachment.", float64(m.EvidenceAttached)),
+		obs.Gauge("resd_queue_depth", "Dumps queued across all shards.", float64(queued)),
+		obs.Counter("resd_submitted_total", "Dumps accepted (fresh, cached, or coalesced).", float64(hits+misses+coalesced)),
+		obs.Counter("resd_completed_total", "Analyses finished successfully.", float64(s.completed.Load())),
+		obs.Counter("resd_failed_total", "Analyses that failed.", float64(s.failed.Load())),
+		obs.Counter("resd_canceled_total", "Jobs canceled during drain.", float64(s.canceled.Load())),
+		obs.Counter("resd_rejected_total", "Submissions rejected by backpressure.", float64(s.rejected.Load())),
+		obs.Counter("resd_coalesced_total", "Duplicate submissions merged onto in-flight jobs.", float64(coalesced)),
+		obs.Counter("resd_cache_hits_total", "Submissions served from the result store.", float64(hits)),
+		obs.Counter("resd_cache_misses_total", "Submissions that required fresh analysis.", float64(misses)),
+		obs.Gauge("resd_cache_hit_rate", "cache_hits / (cache_hits + cache_misses).", hitRate),
+		obs.Gauge("resd_store_entries", "Result-store memory-tier population.", float64(st.Entries)),
+		obs.Counter("resd_store_disk_hits_total", "Store gets answered by the disk tier.", float64(st.DiskHits)),
+		obs.Counter("resd_store_evictions_total", "LRU evictions from the store memory tier.", float64(st.Evictions)),
+		obs.Gauge("resd_buckets", "Distinct crash-dedup buckets.", float64(buckets)),
+		obs.Gauge("resd_programs", "Registered program shards.", float64(len(shards))),
+		obs.Gauge("resd_jobs", "Job records retained in memory.", float64(jobs)),
+		obs.Counter("resd_jobs_evicted_total", "Terminal job records evicted by the MaxJobs/JobRetention bounds.", float64(s.jobsEvicted.Load())),
+		obs.Counter("resd_jobs_retried_total", "Failed analyses re-queued by the retry policy.", float64(s.retried.Load())),
+		obs.Counter("resd_evidence_attached_total", "Accepted submissions carrying an evidence attachment.", float64(s.evidenceAttached.Load())),
 	}
-	kinds := make([]string, 0, len(m.EvidenceSources))
-	for k := range m.EvidenceSources {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		snap = append(snap, obs.Counter("resd_evidence_sources_total",
-			"Evidence sources attached to accepted submissions, per kind.",
-			float64(m.EvidenceSources[k])).With("kind", k))
-	}
+	snap = append(snap, kinds...)
+	snap = append(snap, obs.Counter("resd_fixverify_total", "Completed fix verifications.", float64(fixverified)))
+	snap = append(snap, verdicts...)
 	snap = append(snap,
-		obs.Counter("resd_fixverify_total", "Completed fix verifications.", float64(m.FixVerifyTotal)),
-	)
-	verdicts := make([]string, 0, len(m.FixVerifyVerdicts))
-	for v := range m.FixVerifyVerdicts {
-		verdicts = append(verdicts, v)
-	}
-	sort.Strings(verdicts)
-	for _, v := range verdicts {
-		snap = append(snap, obs.Counter("resd_fixverify_verdicts_total",
-			"Completed fix verifications, per verdict.",
-			float64(m.FixVerifyVerdicts[v])).With("verdict", v))
-	}
-	snap = append(snap,
-		obs.Counter("resd_minimize_total", "Completed minimizations.", float64(m.MinimizeTotal)),
-		obs.Counter("resd_minimize_runs_total", "Analyzer re-runs spent by minimizations.", float64(m.MinimizeRuns)),
-		obs.Counter("resd_minimize_reductions_total", "Reductions kept by minimizations (cause key preserved).", float64(m.MinimizeReductions)),
-	)
-	snap = append(snap,
-		obs.Counter("resd_checkpoint_attached_total", "Accepted submissions carrying a checkpoint-ring attachment.", float64(m.CheckpointAttached)),
-		obs.Counter("resd_checkpoint_anchored_total", "Completed analyses anchored on a recorded checkpoint.", float64(m.CheckpointAnchored)),
-		obs.Counter("resd_attachments_degraded_total", "Corrupt evidence/checkpoint attachments dropped at submit; the analysis ran without them.", float64(m.AttachmentsDegraded)),
-		obs.Counter("resd_journal_corrupt_entries_total", "Corrupt mid-file journal entries skipped during replay.", float64(m.Journal.CorruptEntries)),
-		obs.Counter("resd_store_replica_hits_total", "Store gets answered by the cluster read-through fetch.", float64(m.Store.ReplicaHits)),
-		obs.Counter("resd_journal_appends_total", "Entries appended to the job journal.", float64(m.Journal.Appends)),
-		obs.Counter("resd_journal_compactions_total", "Journal compactions into a snapshot.", float64(m.Journal.Compactions)),
-		obs.Gauge("resd_journal_replayed", "Journal entries replayed at startup.", float64(m.JournalReplayed)),
+		obs.Counter("resd_minimize_total", "Completed minimizations.", float64(s.minimizeTotal.Load())),
+		obs.Counter("resd_minimize_runs_total", "Analyzer re-runs spent by minimizations.", float64(s.minimizeRuns.Load())),
+		obs.Counter("resd_minimize_reductions_total", "Reductions kept by minimizations (cause key preserved).", float64(s.minimizeReductions.Load())),
+		obs.Counter("resd_checkpoint_attached_total", "Accepted submissions carrying a checkpoint-ring attachment.", float64(s.checkpointAttached.Load())),
+		obs.Counter("resd_checkpoint_anchored_total", "Completed analyses anchored on a recorded checkpoint.", float64(s.checkpointAnchored.Load())),
+		obs.Counter("resd_attachments_degraded_total", "Corrupt evidence/checkpoint attachments dropped at submit; the analysis ran without them.", float64(s.attachmentsDegraded.Load())),
+		obs.Counter("resd_journal_corrupt_entries_total", "Corrupt mid-file journal entries skipped during replay.", float64(js.CorruptEntries)),
+		obs.Counter("resd_store_replica_hits_total", "Store gets answered by the cluster read-through fetch.", float64(st.ReplicaHits)),
+		obs.Counter("resd_journal_appends_total", "Entries appended to the job journal.", float64(js.Appends)),
+		obs.Counter("resd_journal_compactions_total", "Journal compactions into a snapshot.", float64(js.Compactions)),
+		obs.Gauge("resd_journal_replayed", "Journal entries replayed at startup.", float64(s.journalReplayed.Load())),
 		obs.Counter("resd_events_dropped_total", "Progress events dropped by slow NDJSON watchers.", float64(s.eventsDropped.Load())),
 		obs.Gauge("resd_build_info", "Build metadata; the value is always 1.", 1).
 			With("version", obs.Version, "go_version", runtime.Version()),
@@ -204,18 +112,20 @@ func (s *Service) MetricsSnapshot() obs.Snapshot {
 			"Result-store operation latency, per operation.",
 			s.histStoreOp[op].Snapshot()).With("op", op))
 	}
-	for _, sh := range m.Shards {
-		snap = append(snap, obs.Gauge("resd_shard_queue_depth", "Dumps queued per program shard.",
-			float64(sh.QueueDepth)).With("program", sh.Program, "name", sh.Name))
-	}
-	for _, sh := range m.Shards {
-		snap = append(snap, obs.Counter("resd_shard_submitted_total", "Dumps accepted per program shard.",
-			float64(sh.Submitted)).With("program", sh.Program, "name", sh.Name))
-	}
-	for _, sh := range m.Shards {
-		snap = append(snap, obs.Counter("resd_shard_cached_total", "Cache-hit responses per program shard.",
-			float64(sh.Cached)).With("program", sh.Program, "name", sh.Name))
-	}
+	snap = append(snap, shardDepth...)
+	snap = append(snap, shardSubmitted...)
+	snap = append(snap, shardCached...)
 	snap = append(snap, obs.RuntimeMetrics(s.start)...)
+	return snap
+}
+
+// counterFamily renders one per-label counter family, one series per
+// label value in sorted order. The caller holds s.mu while counts is a
+// service map.
+func counterFamily(name, help, label string, counts map[string]uint64) obs.Snapshot {
+	snap := make(obs.Snapshot, 0, len(counts))
+	for _, v := range slices.Sorted(maps.Keys(counts)) {
+		snap = append(snap, obs.Counter(name, help, float64(counts[v])).With(label, v))
+	}
 	return snap
 }

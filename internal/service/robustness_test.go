@@ -72,12 +72,12 @@ func TestJournalSkipsCorruptMiddleEntries(t *testing.T) {
 	// survivors and surfaces the damage in its metrics.
 	svc := New(Config{Analysis: AnalysisConfig{MaxDepth: 8, MaxNodes: 500}, Journal: reopened})
 	defer svc.Shutdown(context.Background())
-	m := svc.Metrics()
-	if m.Journal.CorruptEntries != 1 {
-		t.Fatalf("Metrics().Journal.CorruptEntries = %d, want 1", m.Journal.CorruptEntries)
+	m := metrics(t, svc)
+	if v := m("resd_journal_corrupt_entries_total"); v != 1 {
+		t.Fatalf("resd_journal_corrupt_entries_total = %v, want 1", v)
 	}
-	if m.JournalReplayed != 5 {
-		t.Fatalf("JournalReplayed = %d, want 5", m.JournalReplayed)
+	if v := m("resd_journal_replayed"); v != 5 {
+		t.Fatalf("resd_journal_replayed = %v, want 5", v)
 	}
 }
 

@@ -313,8 +313,7 @@ type shard struct {
 	analyzer *res.Analyzer
 	queue    chan *jobState
 
-	// Guarded by Service.mu.
-	submitted, completed, failed, cached, rejected uint64
+	submitted, cached atomic.Uint64
 }
 
 // Service is the ingestion engine. Construct with New, register programs,
@@ -362,37 +361,27 @@ type Service struct {
 	// can terminalize them instead of abandoning their timers.
 	pendingRetries map[*jobState]*retryRec
 
-	submitted, completed, failed, canceled uint64
-	rejected, coalesced                    uint64
-	cacheHits, cacheMisses                 uint64
-	jobsEvicted, retried                   uint64
-	journalReplayed                        int
-	// evidenceAttached counts accepted submissions that carried an
-	// evidence attachment; evidenceKinds breaks them down per source kind.
-	evidenceAttached uint64
-	evidenceKinds    map[string]uint64
-	// checkpointAttached counts accepted submissions that carried a
-	// checkpoint-ring attachment; checkpointAnchored counts completed
-	// analyses that anchored their search on one of its checkpoints.
-	checkpointAttached uint64
-	checkpointAnchored uint64
-	// attachmentsDegraded counts corrupt evidence/checkpoint attachments
-	// dropped at submit so the dump could still be analyzed plain.
-	attachmentsDegraded uint64
-	// fixverifyTotal counts completed fix verifications; fixverifyVerdicts
-	// breaks them down per verdict.
-	fixverifyTotal    uint64
+	// Counters. MetricsSnapshot names each one and gives it its help
+	// text. A submission counts as exactly one of cacheHits, cacheMisses
+	// and coalesced; their sum is resd_submitted_total.
+	completed, failed, canceled atomic.Uint64
+	rejected, coalesced         atomic.Uint64
+	cacheHits, cacheMisses      atomic.Uint64
+	jobsEvicted, retried        atomic.Uint64
+	journalReplayed             atomic.Uint64
+	evidenceAttached            atomic.Uint64
+	checkpointAttached          atomic.Uint64
+	checkpointAnchored          atomic.Uint64
+	attachmentsDegraded         atomic.Uint64
+	minimizeTotal               atomic.Uint64
+	minimizeRuns                atomic.Uint64
+	minimizeReductions          atomic.Uint64
+	eventsDropped               atomic.Uint64
+	// Per-label counter families, guarded by mu: evidence sources per
+	// kind, and fix verdicts per verdict (their sum is
+	// resd_fixverify_total).
+	evidenceKinds     map[string]uint64
 	fixverifyVerdicts map[string]uint64
-	// minimizeTotal counts completed minimizations; minimizeRuns the
-	// analyzer re-runs they spent; minimizeReductions the reductions kept.
-	minimizeTotal      uint64
-	minimizeRuns       uint64
-	minimizeReductions uint64
-
-	// eventsDropped counts progress events lost to slow NDJSON watchers
-	// across all streams (resd_events_dropped_total). Atomic: drops are
-	// detected outside the service mutex, on the analyzing goroutine.
-	eventsDropped atomic.Uint64
 
 	// Latency histograms. All are created by New and never reassigned,
 	// so Observe/Snapshot need no locking beyond the histogram's own

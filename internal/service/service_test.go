@@ -16,6 +16,21 @@ import (
 	"res/internal/workload"
 )
 
+// metrics takes one /metrics snapshot of svc and returns a reader of its
+// counters and gauges by series name (labels as k1, v1, ...); a series
+// the snapshot lacks fails the test.
+func metrics(t testing.TB, svc *Service) func(name string, kv ...string) float64 {
+	snap := svc.MetricsSnapshot()
+	return func(name string, kv ...string) float64 {
+		t.Helper()
+		v, ok := snap.Value(name, kv...)
+		if !ok {
+			t.Fatalf("no series %s%q in the metrics snapshot", name, kv)
+		}
+		return v
+	}
+}
+
 // failingDumps produces n distinct failing dumps of the bug's program.
 func failingDumps(t testing.TB, bug *workload.Bug, n int) [][]byte {
 	t.Helper()
@@ -123,16 +138,16 @@ func TestCacheHitDeterminism(t *testing.T) {
 	if !bytes.Equal(again.Report, fresh.Report) {
 		t.Fatalf("cached report differs from fresh report:\n%s\nvs\n%s", again.Report, fresh.Report)
 	}
-	m := svc.Metrics()
-	if m.CacheHits != 1 || m.CacheMisses != 1 {
-		t.Fatalf("metrics = %+v, want 1 hit / 1 miss", m)
+	m := metrics(t, svc)
+	if m("resd_cache_hits_total") != 1 || m("resd_cache_misses_total") != 1 {
+		t.Fatalf("metrics = %v hits / %v misses, want 1 hit / 1 miss", m("resd_cache_hits_total"), m("resd_cache_misses_total"))
 	}
-	if m.CacheHitRate != 0.5 {
-		t.Fatalf("hit rate = %v, want 0.5", m.CacheHitRate)
+	if m("resd_cache_hit_rate") != 0.5 {
+		t.Fatalf("hit rate = %v, want 0.5", m("resd_cache_hit_rate"))
 	}
 	// The store itself must have answered: its own hit counter moved.
-	if m.Store.Hits == 0 {
-		t.Fatalf("store stats = %+v, want at least one hit", m.Store)
+	if st := svc.Store().Stats(); st.Hits == 0 {
+		t.Fatalf("store stats = %+v, want at least one hit", st)
 	}
 }
 
@@ -163,9 +178,9 @@ func TestBackpressure(t *testing.T) {
 	if _, err := svc.Submit(SubmitRequest{ProgramID: progID, Dump: dumps[2]}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
-	m := svc.Metrics()
-	if m.Rejected != 1 || m.QueueDepth != 1 {
-		t.Fatalf("metrics = %+v, want rejected=1 queue_depth=1", m)
+	m := metrics(t, svc)
+	if m("resd_rejected_total") != 1 || m("resd_queue_depth") != 1 {
+		t.Fatalf("metrics = rejected %v queue_depth %v, want rejected=1 queue_depth=1", m("resd_rejected_total"), m("resd_queue_depth"))
 	}
 	close(release)
 	for _, id := range []string{j1.ID} {
@@ -267,9 +282,9 @@ func TestPartialResultsRequeueOnResubmit(t *testing.T) {
 	if _, err := svc.Wait(context.Background(), again.ID); err != nil {
 		t.Fatal(err)
 	}
-	m := svc.Metrics()
-	if m.CacheHits != 0 || m.CacheMisses != 2 {
-		t.Fatalf("metrics = %+v, want 0 hits / 2 misses (partials never cached)", m)
+	m := metrics(t, svc)
+	if m("resd_cache_hits_total") != 0 || m("resd_cache_misses_total") != 2 {
+		t.Fatalf("metrics = %v hits / %v misses, want 0 hits / 2 misses (partials never cached)", m("resd_cache_hits_total"), m("resd_cache_misses_total"))
 	}
 	// The stale partial's bucket membership was replaced, not duplicated.
 	total := 0
@@ -331,17 +346,24 @@ func TestConcurrentSubmits(t *testing.T) {
 	if err := svc.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	m := svc.Metrics()
+	snap := svc.MetricsSnapshot()
+	m := metrics(t, svc)
 	// 6 distinct (program, dump) tuples exist; everything else coalesced
 	// or hit the cache.
-	if m.Jobs != len(ids) || m.Jobs > 6 {
-		t.Fatalf("metrics = %+v with %d distinct IDs, want ≤ 6 jobs", m, len(ids))
+	if jobs := m("resd_jobs"); jobs != float64(len(ids)) || jobs > 6 {
+		t.Fatalf("jobs = %v with %d distinct IDs, want ≤ 6 jobs", jobs, len(ids))
 	}
-	if m.Completed+m.CacheHits+m.Coalesced != 48 {
-		t.Fatalf("metrics = %+v, want completed+hits+coalesced = 48 submissions", m)
+	if sum := m("resd_completed_total") + m("resd_cache_hits_total") + m("resd_coalesced_total"); sum != 48 {
+		t.Fatalf("completed+hits+coalesced = %v, want 48 submissions", sum)
 	}
-	if m.Programs != 2 || len(m.Shards) != 2 {
-		t.Fatalf("metrics = %+v, want 2 shards", m)
+	shards := 0
+	for _, s := range snap {
+		if s.Name == "resd_shard_queue_depth" {
+			shards++
+		}
+	}
+	if m("resd_programs") != 2 || shards != 2 {
+		t.Fatalf("programs = %v, shard series = %d, want 2 shards", m("resd_programs"), shards)
 	}
 }
 
@@ -422,9 +444,10 @@ func TestRetryTransientFailure(t *testing.T) {
 	if done.Error != "" {
 		t.Fatalf("successful retry left error %q on the job", done.Error)
 	}
-	m := svc.Metrics()
-	if m.Retried != 2 || m.Failed != 0 || m.Completed != 1 {
-		t.Fatalf("metrics = %+v, want retried=2 failed=0 completed=1", m)
+	m := metrics(t, svc)
+	if m("resd_jobs_retried_total") != 2 || m("resd_failed_total") != 0 || m("resd_completed_total") != 1 {
+		t.Fatalf("metrics = retried %v failed %v completed %v, want retried=2 failed=0 completed=1",
+			m("resd_jobs_retried_total"), m("resd_failed_total"), m("resd_completed_total"))
 	}
 }
 
@@ -452,9 +475,9 @@ func TestRetryExhaustion(t *testing.T) {
 	if done.Retries != 2 {
 		t.Fatalf("retries = %d, want MaxRetries(2)", done.Retries)
 	}
-	m := svc.Metrics()
-	if m.Retried != 2 || m.Failed != 1 {
-		t.Fatalf("metrics = %+v, want retried=2 failed=1", m)
+	m := metrics(t, svc)
+	if m("resd_jobs_retried_total") != 2 || m("resd_failed_total") != 1 {
+		t.Fatalf("metrics = retried %v failed %v, want retried=2 failed=1", m("resd_jobs_retried_total"), m("resd_failed_total"))
 	}
 }
 
@@ -576,9 +599,9 @@ func TestSubmitBatchCoalesces(t *testing.T) {
 			t.Fatalf("batch item %d = %+v, err = %v", i, job, err)
 		}
 	}
-	m := svc.Metrics()
-	if m.Submitted != 2 || m.CacheMisses != 2 {
-		t.Fatalf("metrics = %+v, want 2 submissions (duplicate pre-coalesced)", m)
+	m := metrics(t, svc)
+	if m("resd_submitted_total") != 2 || m("resd_cache_misses_total") != 2 {
+		t.Fatalf("metrics = %v submitted / %v misses, want 2 submissions (duplicate pre-coalesced)", m("resd_submitted_total"), m("resd_cache_misses_total"))
 	}
 }
 
@@ -634,11 +657,11 @@ func TestJournalRestart(t *testing.T) {
 		svc2.Shutdown(context.Background())
 		j2.Close()
 	}()
-	m := svc2.Metrics()
-	if m.Programs != 1 {
-		t.Fatalf("programs after restart = %d, want the journaled registration back", m.Programs)
+	m := metrics(t, svc2)
+	if m("resd_programs") != 1 {
+		t.Fatalf("programs after restart = %v, want the journaled registration back", m("resd_programs"))
 	}
-	if m.JournalReplayed == 0 {
+	if m("resd_journal_replayed") == 0 {
 		t.Fatal("nothing replayed from the journal")
 	}
 	for _, want := range jobs {
@@ -725,8 +748,8 @@ func TestJournalCompaction(t *testing.T) {
 	defer svc2.Shutdown(context.Background())
 	// The store was memory-only, so reports are gone — but the history
 	// (IDs, buckets, program registration) replays from the snapshot.
-	if m := svc2.Metrics(); m.Programs != 1 || m.Buckets == 0 {
-		t.Fatalf("metrics after compacted replay = %+v, want program and buckets back", m)
+	if m := metrics(t, svc2); m("resd_programs") != 1 || m("resd_buckets") == 0 {
+		t.Fatalf("metrics after compacted replay = %v programs / %v buckets, want program and buckets back", m("resd_programs"), m("resd_buckets"))
 	}
 }
 
@@ -800,12 +823,12 @@ func TestJobEvictionByCap(t *testing.T) {
 		}
 	}
 
-	m := svc.Metrics()
-	if m.Jobs > 2 {
-		t.Fatalf("jobs retained = %d, want <= MaxJobs(2)", m.Jobs)
+	m := metrics(t, svc)
+	if m("resd_jobs") > 2 {
+		t.Fatalf("jobs retained = %v, want <= MaxJobs(2)", m("resd_jobs"))
 	}
-	if m.JobsEvicted < 2 {
-		t.Fatalf("evictions = %d, want >= 2", m.JobsEvicted)
+	if m("resd_jobs_evicted_total") < 2 {
+		t.Fatalf("evictions = %v, want >= 2", m("resd_jobs_evicted_total"))
 	}
 	// A result poll for the evicted job still resolves: the slim
 	// tombstone routes it to the store-cached report.
@@ -869,12 +892,12 @@ func TestJobEvictionByTTL(t *testing.T) {
 	if _, err := svc.Submit(SubmitRequest{ProgramID: progID, Dump: dumps[1]}); err != nil {
 		t.Fatal(err)
 	}
-	m := svc.Metrics()
-	if m.JobsEvicted < 1 {
-		t.Fatalf("evictions = %d, want >= 1 after TTL sweep", m.JobsEvicted)
+	m := metrics(t, svc)
+	if m("resd_jobs_evicted_total") < 1 {
+		t.Fatalf("evictions = %v, want >= 1 after TTL sweep", m("resd_jobs_evicted_total"))
 	}
-	if m.Jobs >= 2 {
-		t.Fatalf("jobs retained = %d, want the expired record swept", m.Jobs)
+	if m("resd_jobs") >= 2 {
+		t.Fatalf("jobs retained = %v, want the expired record swept", m("resd_jobs"))
 	}
 	// Evicted-but-complete jobs still answer result polls via the store.
 	if got, ok := svc.Job(job.ID); !ok || !got.Cached || got.Status != StatusDone {

@@ -58,12 +58,12 @@ func optionsDesc(eff AnalysisConfig, ev evidence.Set, ckBytes []byte) string {
 // Caller holds s.mu.
 func (s *Service) noteEvidenceLocked(ev evidence.Set, ck *checkpoint.Ring) {
 	if ck != nil && !ck.Empty() {
-		s.checkpointAttached++
+		s.checkpointAttached.Add(1)
 	}
 	if len(ev) == 0 {
 		return
 	}
-	s.evidenceAttached++
+	s.evidenceAttached.Add(1)
 	if s.evidenceKinds == nil {
 		s.evidenceKinds = make(map[string]uint64)
 	}
@@ -209,9 +209,7 @@ func (s *Service) submitTuple(programID string, dumpBytes, evidenceBytes, checkp
 		ring, checkpointBytes = nil, nil
 	}
 	if len(warnings) > 0 {
-		s.mu.Lock()
-		s.attachmentsDegraded += uint64(len(warnings))
-		s.mu.Unlock()
+		s.attachmentsDegraded.Add(uint64(len(warnings)))
 		slog.Warn("degraded submission: corrupt attachment dropped",
 			"trace_id", tc.TraceID, "program", programID,
 			"warnings", strings.Join(warnings, "; "))
@@ -276,17 +274,15 @@ func (s *Service) submitTuple(programID string, dumpBytes, evidenceBytes, checkp
 		}
 		switch {
 		case !snap.Status.Terminal():
-			s.submitted++
-			sh.submitted++
-			s.coalesced++
+			sh.submitted.Add(1)
+			s.coalesced.Add(1)
 			s.noteEvidenceLocked(evSet, ring)
 			s.mu.Unlock()
 			return snap, nil
 		case snap.Status == StatusDone && !snap.Partial:
-			s.submitted++
-			sh.submitted++
-			s.cacheHits++
-			sh.cached++
+			sh.submitted.Add(1)
+			s.cacheHits.Add(1)
+			sh.cached.Add(1)
 			s.noteEvidenceLocked(evSet, ring)
 			snap.Cached = true
 			if haveCached {
@@ -315,10 +311,9 @@ func (s *Service) submitTuple(programID string, dumpBytes, evidenceBytes, checkp
 		if stale != nil {
 			s.removeBucketLocked(stale.job.Bucket, id)
 		}
-		s.cacheHits++
-		sh.cached++
-		sh.submitted++
-		s.submitted++
+		s.cacheHits.Add(1)
+		sh.cached.Add(1)
+		sh.submitted.Add(1)
 		s.noteEvidenceLocked(evSet, ring)
 		js := &jobState{
 			job: Job{
@@ -377,8 +372,7 @@ func (s *Service) submitTuple(programID string, dumpBytes, evidenceBytes, checkp
 	select {
 	case sh.queue <- js:
 	default:
-		sh.rejected++
-		s.rejected++
+		s.rejected.Add(1)
 		s.mu.Unlock()
 		return Job{}, ErrQueueFull
 	}
@@ -386,9 +380,8 @@ func (s *Service) submitTuple(programID string, dumpBytes, evidenceBytes, checkp
 	if stale != nil {
 		s.removeBucketLocked(stale.job.Bucket, id)
 	}
-	s.cacheMisses++
-	sh.submitted++
-	s.submitted++
+	s.cacheMisses.Add(1)
+	sh.submitted.Add(1)
 	s.noteEvidenceLocked(evSet, ring)
 	s.jobs[id] = js
 	snap := js.job

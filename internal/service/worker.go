@@ -49,7 +49,7 @@ func (s *Service) maybeRetry(sh *shard, js *jobState, cause error) bool {
 		// successful retry clears it.
 		js.job.Error = cause.Error()
 	}
-	s.retried++
+	s.retried.Add(1)
 	backoff := s.cfg.RetryBackoff
 	if backoff <= 0 {
 		backoff = DefaultRetryBackoff
@@ -263,11 +263,9 @@ func (s *Service) run(sh *shard, js *jobState) {
 		s.store.Put(js.key, rep)
 	}
 	if r.CheckpointAnchor != nil {
-		s.mu.Lock()
-		s.checkpointAnchored++
-		s.mu.Unlock()
+		s.checkpointAnchored.Add(1)
 	}
-	bucket := bucketSignature(sh.name, r)
+	bucket := bucketFromReport(sh.name, rep)
 	s.finish(sh, js, func(j *Job) {
 		j.Status = StatusDone
 		j.Partial = r.Partial
@@ -313,14 +311,12 @@ func (s *Service) finish(sh *shard, js *jobState, mut func(*Job)) {
 	js.checkpoints = nil
 	switch js.job.Status {
 	case StatusDone:
-		sh.completed++
-		s.completed++
+		s.completed.Add(1)
 		s.addBucketLocked(js.job.Bucket, js.job.ID)
 	case StatusFailed:
-		sh.failed++
-		s.failed++
+		s.failed.Add(1)
 	case StatusCanceled:
-		s.canceled++
+		s.canceled.Add(1)
 	}
 	s.recordDoneLocked(js)
 	rec := journalJobRecord(js)
