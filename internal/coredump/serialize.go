@@ -84,8 +84,14 @@ func (d *Dump) Marshal() ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// Unmarshal parses a dump from the bytes Marshal writes.
-func Unmarshal(b []byte) (*Dump, error) {
+// Unmarshal parses a dump from the bytes Marshal writes, whatever its
+// memory image size.
+func Unmarshal(b []byte) (*Dump, error) { return UnmarshalFor(b, 0) }
+
+// UnmarshalFor is Unmarshal for a program whose memory is memSize words:
+// a dump claiming any other image size is rejected before its image is
+// allocated. memSize 0 accepts any size.
+func UnmarshalFor(b []byte, memSize uint32) (*Dump, error) {
 	dec := wire.NewDecoder(b, dumpMagic)
 	d := &Dump{Locks: make(map[uint32]int)}
 
@@ -143,7 +149,7 @@ func Unmarshal(b []byte) (*Dump, error) {
 		d.LBR = append(d.LBR, b)
 	}
 
-	d.Mem = mem.DecodeImage(dec)
+	d.Mem = mem.DecodeImage(dec, memSize)
 	if err := dec.Finish(); err != nil {
 		return nil, fmt.Errorf("coredump: %w", err)
 	}

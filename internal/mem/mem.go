@@ -95,9 +95,15 @@ func (m *Image) Encode(e *wire.Encoder) {
 // maxWords bounds a decoded image (decode hardening).
 const maxWords = 1 << 28
 
-// DecodeImage reads an image written by Encode. A failure sticks on d.
-func DecodeImage(d *wire.Decoder) *Image {
+// DecodeImage reads an image written by Encode. want, when nonzero, is
+// the only size accepted: any other claimed size fails before the image
+// is allocated, so a few bytes cannot ask for a 2 GiB image. A failure
+// sticks on d.
+func DecodeImage(d *wire.Decoder, want uint32) *Image {
 	size := d.Count("image size", maxWords)
+	if want != 0 && uint32(size) != want {
+		d.Fail("image size %d words, want %d", size, want)
+	}
 	if d.Err() != nil {
 		return nil
 	}

@@ -19,7 +19,7 @@ func roundTrip(m *Image) (*Image, error) {
 
 func decode(b []byte) (*Image, error) {
 	d := wire.NewDecoder(b, "")
-	img := DecodeImage(d)
+	img := DecodeImage(d, 0)
 	return img, d.Finish()
 }
 

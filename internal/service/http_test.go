@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -149,6 +151,11 @@ func main:
 	if _, err := c.Submit(ctx, SubmitRequest{ProgramID: progID,
 		Dump: []byte("garbage")}); err == nil || !strings.Contains(err.Error(), "bad dump") {
 		t.Fatalf("garbage dump error = %v", err)
+	}
+	// So is a dump whose memory image is not the program's size.
+	if code := post("/v1/dumps", fmt.Sprintf(`{"program_id":%q,"dump":%q}`, progID,
+		base64.StdEncoding.EncodeToString(hugeImageDump(t)))); code != 400 {
+		t.Fatalf("dump with a foreign image size: %d, want 400", code)
 	}
 
 	// Draining maps to 503 on registration and on health.

@@ -3,15 +3,18 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"res"
 	"res/internal/coredump"
+	"res/internal/mem"
 	"res/internal/store"
 	"res/internal/workload"
 )
@@ -785,6 +788,43 @@ func TestSubmitErrors(t *testing.T) {
 	}
 	if _, err := svc.Submit(SubmitRequest{ProgramSource: "not assembly", Dump: dumps[0]}); !errors.Is(err, ErrBadSource) {
 		t.Fatalf("bad source: %v, want ErrBadSource", err)
+	}
+}
+
+// hugeImageDump is a 30-byte dump that decodes: no threads, and a memory
+// image claiming 2^28 words in one zero run.
+func hugeImageDump(t testing.TB) []byte {
+	t.Helper()
+	b, err := (&coredump.Dump{Mem: mem.NewImage(1)}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A one-word zero image encodes as its size, 1, then one zero run of 1.
+	tail := []byte{1, 0, 1}
+	if !bytes.HasSuffix(b, tail) {
+		t.Fatalf("one-word image does not end the dump as % x: % x", tail, b)
+	}
+	huge := binary.AppendUvarint(nil, 1<<28)
+	b = append(append(b[:len(b)-len(tail)], huge...), 0)
+	return append(b, huge...)
+}
+
+// TestSubmitRejectsForeignImageSize: a dump whose memory image is not
+// the program's size is a bad dump, rejected before the claimed image is
+// allocated, so 30 bytes cannot cost 2 GiB.
+func TestSubmitRejectsForeignImageSize(t *testing.T) {
+	svc, progID, _ := testService(t, Config{})
+	defer svc.Shutdown(context.Background())
+	dump := hugeImageDump(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := svc.Submit(SubmitRequest{ProgramID: progID, Dump: dump})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadDump) {
+		t.Fatalf("%d-byte dump claiming 2^28 words: %v, want ErrBadDump", len(dump), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting it allocated %d bytes, want < 1 MiB", grew)
 	}
 }
 

@@ -173,7 +173,7 @@ func (s *Service) submitTuple(programID string, dumpBytes, evidenceBytes, checkp
 	}
 	s.mu.Lock()
 	draining := s.draining
-	_, known := s.shards[programID]
+	sh, known := s.shards[programID]
 	s.mu.Unlock()
 	if draining {
 		// Draining wins over unknown-program: a drained node may simply
@@ -185,7 +185,9 @@ func (s *Service) submitTuple(programID string, dumpBytes, evidenceBytes, checkp
 	if !known {
 		return Job{}, ErrUnknownProgram
 	}
-	dumpFP, canon, d, err := store.CanonicalizeDump(dumpBytes)
+	// Decoding against the program's layout rejects a dump whose claimed
+	// memory size differs before that memory is allocated.
+	dumpFP, canon, d, err := store.CanonicalizeDumpFor(dumpBytes, sh.prog.Layout.MemSize)
 	if err != nil {
 		return Job{}, fmt.Errorf("%w: %v", ErrBadDump, err)
 	}

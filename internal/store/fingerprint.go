@@ -82,7 +82,13 @@ func DumpFingerprint(d *coredump.Dump) (Fingerprint, []byte, error) {
 // variation in the input encoding. It also validates the bytes: garbage
 // in, error out.
 func CanonicalizeDump(raw []byte) (Fingerprint, []byte, *coredump.Dump, error) {
-	d, err := coredump.Unmarshal(raw)
+	return CanonicalizeDumpFor(raw, 0)
+}
+
+// CanonicalizeDumpFor is CanonicalizeDump for a program whose memory is
+// memSize words; see coredump.UnmarshalFor. memSize 0 accepts any size.
+func CanonicalizeDumpFor(raw []byte, memSize uint32) (Fingerprint, []byte, *coredump.Dump, error) {
+	d, err := coredump.UnmarshalFor(raw, memSize)
 	if err != nil {
 		return Fingerprint{}, nil, nil, err
 	}
