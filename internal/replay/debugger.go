@@ -226,18 +226,6 @@ func (d *Debugger) blockHasBreakpoint(blockID int) (bool, int) {
 	return false, -1
 }
 
-// StepOver is Continue past the pending breakpoint block (gdb's behaviour
-// when continuing from a breakpoint).
-func (d *Debugger) StepOver() Stop {
-	if d.Done() {
-		return d.Continue()
-	}
-	if s := d.Step(); s.Reason != StopStep {
-		return s
-	}
-	return d.Continue()
-}
-
 // ReverseStep steps one scheduled block backward: deterministic replay
 // makes this a restart plus pos-1 forward steps.
 func (d *Debugger) ReverseStep() (Stop, error) {

@@ -176,8 +176,10 @@ func TestDebuggerBreakpoint(t *testing.T) {
 	if s.Reason != replay.StopBreakpoint {
 		t.Fatalf("stop = %v, want breakpoint", s)
 	}
-	// Continuing from the breakpoint reaches the fault.
-	s = dbg.StepOver()
+	// Stepping past the breakpoint block and continuing reaches the fault.
+	if s = dbg.Step(); s.Reason == replay.StopStep {
+		s = dbg.Continue()
+	}
 	if s.Reason != replay.StopFault {
 		t.Fatalf("after breakpoint: %v, want fault", s)
 	}

@@ -148,20 +148,6 @@ func (s *Service) evictedJob(id string) (Job, bool) {
 	}, true
 }
 
-// Trace returns the finished analysis's span tree. The boolean is false
-// when the job is unknown, not yet finished, or has no trace — a cache
-// hit, a journal-replayed record, or an evicted one (the trace lives
-// only in the analyzing process's memory, never in the store).
-func (s *Service) Trace(id string) (*obs.TraceData, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	js, ok := s.jobs[id]
-	if !ok || js.trace == nil {
-		return nil, false
-	}
-	return js.trace, true
-}
-
 // TraceFragments returns every span fragment this node recorded for a
 // job: the request-scoped fragment (snapshotted live, so an in-flight
 // job already shows its submit and queue spans) followed by the

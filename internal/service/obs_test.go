@@ -116,8 +116,10 @@ func TestTraceAbsentForStoreServedJobs(t *testing.T) {
 	if _, err := first.Wait(ctx, job.ID); err != nil {
 		t.Fatal(err)
 	}
-	if tr, ok := first.Trace(job.ID); !ok || tr == nil {
-		t.Fatal("analyzing service has no trace for its own job")
+	// The analyzing service holds the request fragment and, after it,
+	// the analysis span tree.
+	if frags := first.TraceFragments(job.ID); len(frags) != 2 {
+		t.Fatalf("analyzing service has %d trace fragments for its own job, want the request fragment and the analysis span tree", len(frags))
 	}
 	if err := first.Shutdown(ctx); err != nil {
 		t.Fatal(err)

@@ -538,19 +538,6 @@ func (s *Snapshot) ConcretizeRegs(tid int, m symx.Model) ([isa.NumRegs]int64, er
 	return out, nil
 }
 
-// SymbolicFootprint returns the addresses currently overlaid with
-// expressions that still mention variables (the "currently unknown" part
-// of the snapshot — useful for reporting and tests).
-func (s *Snapshot) SymbolicFootprint() []uint32 {
-	var out []uint32
-	s.ForEachMem(func(a uint32, e *symx.Expr) {
-		if e.HasVars() {
-			out = append(out, a)
-		}
-	})
-	return out
-}
-
 // String summarizes the snapshot.
 func (s *Snapshot) String() string {
 	return fmt.Sprintf("snapshot{depth=%d threads=%v overlay=%d cons=%d}",

@@ -212,18 +212,6 @@ func TestConcretize(t *testing.T) {
 	}
 }
 
-func TestSymbolicFootprint(t *testing.T) {
-	pool := symx.NewPool()
-	s := FromDump(sampleDump(), 20, pool)
-	s.SetMem(40, pool.FreshExpr("a"))
-	s.SetMem(35, pool.FreshExpr("b"))
-	s.SetMem(36, symx.Const(3)) // concrete overlay: not symbolic
-	fp := s.SymbolicFootprint()
-	if len(fp) != 2 || fp[0] != 35 || fp[1] != 40 {
-		t.Errorf("footprint = %v", fp)
-	}
-}
-
 func TestCheckIntegration(t *testing.T) {
 	pool := symx.NewPool()
 	s := FromDump(sampleDump(), 20, pool)
