@@ -1,8 +1,9 @@
 // Command bench2json converts `go test -bench` text output into the
 // unified BENCH_pr9.json artifact: one JSON document with the machine
-// context and one record per benchmark result line — name, iteration
-// count, ns/op, and every custom metric (steps/sec, overhead-pct,
-// depth/op, ...) keyed by its unit. The perf trajectory across PRs is
+// context and one record per benchmark result line — package, name,
+// iteration count, ns/op, and every custom metric (steps/sec,
+// overhead-pct, depth/op, ...) keyed by its unit. Input may cover
+// several packages; each result records the one it came from. The perf trajectory across PRs is
 // meant to be diffed by tooling, not eyeballed out of ad-hoc text.
 //
 // Usage: go test -bench . | go run ./tools/bench2json > BENCH_pr9.json
@@ -19,6 +20,7 @@ import (
 
 // Result is one benchmark line.
 type Result struct {
+	Pkg        string             `json:"pkg,omitempty"`
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
@@ -29,13 +31,13 @@ type Result struct {
 type Artifact struct {
 	GoOS    string   `json:"goos,omitempty"`
 	GoArch  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
 	CPU     string   `json:"cpu,omitempty"`
 	Results []Result `json:"results"`
 }
 
 func main() {
 	var art Artifact
+	var pkg string // the package whose results the lines below are
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -46,11 +48,12 @@ func main() {
 		case strings.HasPrefix(line, "goarch:"):
 			art.GoArch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			art.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			art.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			if r, ok := parseResult(line); ok {
+				r.Pkg = pkg
 				art.Results = append(art.Results, r)
 			}
 		}
