@@ -11,6 +11,7 @@ import (
 	"res/internal/breadcrumb"
 	"res/internal/checkpoint"
 	"res/internal/core"
+	"res/internal/coredump"
 	"res/internal/evidence"
 	"res/internal/hwerr"
 	"res/internal/obs"
@@ -295,24 +296,19 @@ type searchAnchor struct {
 func (a *Analyzer) analyzeCheckpointed(ctx context.Context, d *Dump, cfg config, root *obs.Span) (*Result, error) {
 	ring := cfg.checkpoints
 	bspan := root.Child("checkpoint-bisect")
-	onVerify := func(c *checkpoint.Checkpoint, dur time.Duration, ok bool) {
-		v := bspan.Child("verify")
-		v.SetAttrs(
-			obs.Attr{Key: "step", Val: int64(c.Step)},
-			obs.Attr{Key: "replay_ns", Val: dur.Nanoseconds()},
-			obs.Attr{Key: "ok", Val: b2i(ok)},
-		)
-		v.End()
-	}
-	var (
-		ck       *checkpoint.Checkpoint
-		verified bool
-	)
+	var onVerify func(c *checkpoint.Checkpoint, dur time.Duration, ok bool)
 	if bspan != nil {
-		ck, verified = ring.BisectObserved(a.p, d, onVerify)
-	} else {
-		ck, verified = ring.Bisect(a.p, d)
+		onVerify = func(c *checkpoint.Checkpoint, dur time.Duration, ok bool) {
+			v := bspan.Child("verify")
+			v.SetAttrs(
+				obs.Attr{Key: "step", Val: int64(c.Step)},
+				obs.Attr{Key: "replay_ns", Val: dur.Nanoseconds()},
+				obs.Attr{Key: "ok", Val: b2i(ok)},
+			)
+			v.End()
+		}
 	}
+	ck, verified := ring.BisectObserved(a.p, d, onVerify)
 	if ck == nil {
 		bspan.End()
 		res, _, err := a.runAnalysis(ctx, d, cfg, nil, root)
@@ -320,24 +316,19 @@ func (a *Analyzer) analyzeCheckpointed(ctx context.Context, d *Dump, cfg config,
 	}
 	ladder := []*searchAnchor{{ck: ck, anchor: checkpoint.NewAnchor(ck, d.Steps, verified)}}
 	if prev := ring.EarlierThan(ck.Step, d.Steps); prev != nil {
-		var pv bool
-		if bspan != nil {
-			t0 := time.Now()
-			pv = ring.Verify(a.p, prev, d)
+		t0 := time.Now()
+		pv := ring.Verify(a.p, prev, d)
+		if onVerify != nil {
 			onVerify(prev, time.Since(t0), pv)
-		} else {
-			pv = ring.Verify(a.p, prev, d)
 		}
 		ladder = append(ladder, &searchAnchor{
 			ck:     prev,
 			anchor: checkpoint.NewAnchor(prev, d.Steps, pv),
 		})
 	}
-	if bspan != nil {
-		bspan.SetInt("anchor_step", int64(ck.Step))
-		bspan.SetInt("verified", b2i(verified))
-		bspan.End()
-	}
+	bspan.SetInt("anchor_step", int64(ck.Step))
+	bspan.SetInt("verified", b2i(verified))
+	bspan.End()
 	ladder = append(ladder, nil)
 
 	var (
@@ -611,19 +602,28 @@ func analyzeNode(p *Program, eng *core.Engine, n *core.Node, d *Dump) *analysisC
 	if err != nil {
 		return nil
 	}
-	rr, err := replay.Run(p, syn, d, replay.Config{})
-	if err != nil || rr.Divergence != nil {
-		return nil
-	}
 	an, err := rootcause.Analyze(p, syn, d)
 	if err != nil || an.Cause == nil {
+		return nil
+	}
+	// Heap checking only adds the two heap faults and hooks only observe,
+	// so without a heap fault the instrumented replay ran exactly the
+	// blocks a plain replay runs. A heap fault stopped it early: only a
+	// plain replay can then say whether the suffix reproduces the dump.
+	rr := an.Replay
+	if rr.Fault.Kind == coredump.FaultHeapOOB || rr.Fault.Kind == coredump.FaultUseAfterFree {
+		if rr, err = replay.Run(p, syn, d, replay.Config{}); err != nil {
+			return nil
+		}
+	}
+	if rr.Divergence != nil {
 		return nil
 	}
 	return &analysisCandidate{
 		node:     n,
 		syn:      syn,
 		cause:    an.Cause,
-		faithful: rr.Matches && an.Faithful,
+		faithful: rr.Matches,
 		replay:   rr,
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"res/internal/coredump"
 	"res/internal/mem"
 	"res/internal/prog"
+	"res/internal/trace"
 	"res/internal/vm"
 )
 
@@ -53,12 +54,6 @@ func (c *Checkpoint) State() vm.State {
 	}
 }
 
-// SchedRec is one executed block-step: thread Tid ran block Block. Its
-// step index is implicit (Ring.LogBase + position).
-type SchedRec struct {
-	Tid, Block int
-}
-
 // InputRec is one consumed external input, stamped with the step index
 // of the block that consumed it.
 type InputRec struct {
@@ -84,7 +79,7 @@ type Ring struct {
 	// LogBase is the step index of Sched[0].
 	LogBase uint64
 	// Sched is the schedule window: Sched[i] is the step LogBase+i.
-	Sched []SchedRec
+	Sched []trace.Step
 	// Inputs are the input records with Step >= LogBase, in consumption
 	// order.
 	Inputs []InputRec
@@ -217,7 +212,7 @@ type Recorder struct {
 	cks      []*Checkpoint
 
 	logBase uint64
-	sched   []SchedRec
+	sched   []trace.Step
 	inputs  []InputRec
 }
 
@@ -259,7 +254,7 @@ func (r *Recorder) onBlockStart(tid, block int) {
 		r.nextAt = idx + r.interval
 		r.thin()
 	}
-	r.sched = append(r.sched, SchedRec{Tid: tid, Block: block})
+	r.sched = append(r.sched, trace.Step{Tid: tid, Block: block})
 	if w := r.cfg.logWindow(); len(r.sched) > w {
 		drop := len(r.sched) - w
 		r.sched = append(r.sched[:0:0], r.sched[drop:]...)
@@ -306,7 +301,7 @@ func (r *Recorder) Ring() *Ring {
 		Interval:    r.interval,
 		Checkpoints: r.cks,
 		LogBase:     r.logBase,
-		Sched:       append([]SchedRec(nil), r.sched...),
+		Sched:       append([]trace.Step(nil), r.sched...),
 		Inputs:      append([]InputRec(nil), r.inputs...),
 	}
 }

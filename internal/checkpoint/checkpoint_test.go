@@ -9,6 +9,7 @@ import (
 	"res/internal/checkpoint"
 	"res/internal/coredump"
 	"res/internal/mem"
+	"res/internal/trace"
 	"res/internal/vm"
 	"res/internal/wire"
 	"res/internal/workload"
@@ -92,7 +93,7 @@ func TestClaimedImageSizeAllocatesNothing(t *testing.T) {
 		img.Set(claimed-1, 7)
 		ring.Checkpoints = append(ring.Checkpoints, &checkpoint.Checkpoint{
 			Step: step, Mem: img, Threads: []vm.Thread{{}}, Locks: map[uint32]int{}})
-		ring.Sched = append(ring.Sched, checkpoint.SchedRec{})
+		ring.Sched = append(ring.Sched, trace.Step{})
 	}
 	raw := ring.Encode()
 	p := asm.MustAssemble("func main:\n    halt\n")
@@ -139,7 +140,7 @@ func TestVerifyAndBisect(t *testing.T) {
 					t.Fatalf("genuine checkpoint at step %d failed verification", ck.Step)
 				}
 			}
-			ck, verified := ring.Bisect(p, d)
+			ck, verified := ring.BisectObserved(p, d, nil)
 			if ck == nil {
 				t.Fatal("bisect found no anchor")
 			}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"res/internal/coredump"
-	"res/internal/isa"
 	"res/internal/prog"
 	"res/internal/vm"
 )
@@ -43,32 +42,15 @@ func (r *Ring) Resume(p *prog.Program, ck *Checkpoint, until uint64) (*vm.VM, *c
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: rebuilding state: %w", err)
 	}
-	for step := ck.Step; step < until; step++ {
-		rec := r.Sched[step-r.LogBase]
-		t := v.Thread(rec.Tid)
-		if t == nil {
-			return v, nil, fmt.Errorf("checkpoint: replay diverged at step %d: thread %d does not exist", step, rec.Tid)
-		}
-		block, err := p.BlockAt(t.PC)
-		if err != nil {
-			return v, nil, fmt.Errorf("checkpoint: replay diverged at step %d: %v", step, err)
-		}
-		if block.ID != rec.Block {
-			return v, nil, fmt.Errorf("checkpoint: replay diverged at step %d: thread %d at block %d, schedule says %d", step, rec.Tid, block.ID, rec.Block)
-		}
-		f := v.ExecBlock(rec.Tid)
-		if f == nil {
-			continue
-		}
-		if f.Kind == coredump.FaultNone {
-			return v, nil, fmt.Errorf("checkpoint: replay diverged at step %d: scheduled thread %d blocked on a lock", step, rec.Tid)
-		}
-		if step != until-1 {
-			return v, f, fmt.Errorf("checkpoint: replay diverged at step %d: premature fault %v", step, f)
-		}
-		return v, f, nil
+	steps := r.Sched[ck.Step-r.LogBase : until-r.LogBase]
+	i, f, err := v.Follow(steps)
+	if err != nil {
+		return v, nil, fmt.Errorf("checkpoint: replay diverged at step %d: %w", ck.Step+uint64(i), err)
 	}
-	return v, nil, nil
+	if f != nil && i != len(steps)-1 {
+		return v, f, fmt.Errorf("checkpoint: replay diverged at step %d: premature fault %v", ck.Step+uint64(i), f)
+	}
+	return v, f, nil
 }
 
 // Verify replays forward from the checkpoint through the end of the
@@ -86,67 +68,30 @@ func (r *Ring) Verify(p *prog.Program, ck *Checkpoint, d *coredump.Dump) bool {
 	if err != nil {
 		return false
 	}
-	if d.Fault.Thread < 0 {
-		// Global fault (deadlock, budget): no faulting instruction to
-		// compare; the end state carries the verdict.
-		return endStateMatches(v, d)
-	}
-	if f == nil {
+	// A global fault (deadlock, budget) has no faulting instruction to
+	// compare; the end state carries the verdict.
+	if d.Fault.Thread >= 0 && (f == nil || !f.Same(d.Fault)) {
 		return false
 	}
-	of := d.Fault
-	if f.Kind != of.Kind || f.PC != of.PC || f.Thread != of.Thread || f.Addr != of.Addr {
-		return false
-	}
-	return endStateMatches(v, d)
+	return len(v.Mem.Diff(d.Mem)) == 0 && v.SameThreads(d)
 }
 
-// endStateMatches compares replayed memory and thread register/PC state
-// against the dump. Scheduling states are deliberately not compared: a
-// thread the original run parked on a contended lock (an uncounted,
-// unlogged transition) is merely still runnable in the replay, with
-// identical registers and PC.
-func endStateMatches(v *vm.VM, d *coredump.Dump) bool {
-	if len(v.Mem.Diff(d.Mem)) != 0 {
-		return false
-	}
-	for _, ot := range d.Threads {
-		t := v.Thread(ot.ID)
-		if t == nil {
-			return false
-		}
-		for reg := 0; reg < isa.NumRegs; reg++ {
-			if t.Regs[reg] != ot.Regs[reg] {
-				return false
-			}
-		}
-		if t.PC != ot.PC {
-			return false
-		}
-	}
-	return true
-}
-
-// Bisect finds the latest checkpoint from which the failure still
-// reproduces — the FReD move: binary-search the process lifetime over
-// checkpoints to localize the failure region before any symbolic work.
-// Checkpoints outside the schedule window cannot be concretely replayed
-// and count as non-reproducing, so the search lands on the newest
-// verifiable checkpoint. When nothing verifies (window too short, or a
-// foreign ring) it falls back to the newest anchor-eligible checkpoint,
-// unverified: the backward search still discharges the anchor state
-// through the solver, so a bogus anchor costs completeness, never
-// soundness. The boolean reports whether the returned checkpoint was
-// verified; nil means the ring offers no usable anchor at all.
-func (r *Ring) Bisect(p *prog.Program, d *coredump.Dump) (*Checkpoint, bool) {
-	return r.BisectObserved(p, d, nil)
-}
-
-// BisectObserved is Bisect with an observer: onVerify, when non-nil,
-// is invoked after every forward-replay verification probe with the
-// probed checkpoint, the replay's wall time, and its outcome. This is
-// the observability hook — the analyzer wires it to per-probe trace
-// spans, and the service's bisect-replay histogram is fed from those.
+// BisectObserved finds the latest checkpoint from which the failure
+// still reproduces — the FReD move: binary-search the process lifetime
+// over checkpoints to localize the failure region before any symbolic
+// work. Checkpoints outside the schedule window cannot be concretely
+// replayed and count as non-reproducing, so the search lands on the
+// newest verifiable checkpoint. When nothing verifies (window too short,
+// or a foreign ring) it falls back to the newest anchor-eligible
+// checkpoint, unverified: the backward search still discharges the
+// anchor state through the solver, so a bogus anchor costs completeness,
+// never soundness. The boolean reports whether the returned checkpoint
+// was verified; nil means the ring offers no usable anchor at all.
+//
+// onVerify, when non-nil, is invoked after every forward-replay
+// verification probe with the probed checkpoint, the replay's wall time,
+// and its outcome. The analyzer wires it to per-probe trace spans, and
+// the service's bisect-replay histogram is fed from those.
 func (r *Ring) BisectObserved(p *prog.Program, d *coredump.Dump, onVerify func(ck *Checkpoint, dur time.Duration, ok bool)) (*Checkpoint, bool) {
 	cands := r.Candidates(d.Steps)
 	if len(cands) == 0 {

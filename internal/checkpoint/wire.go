@@ -6,6 +6,7 @@ import (
 	"res/internal/coredump"
 	"res/internal/isa"
 	"res/internal/mem"
+	"res/internal/trace"
 	"res/internal/vm"
 	"res/internal/wire"
 )
@@ -202,7 +203,7 @@ func Decode(b []byte) (*Ring, error) {
 			d.Fail("schedule record %d: bad tid/block", i)
 			break
 		}
-		r.Sched = append(r.Sched, SchedRec{Tid: int(tid), Block: int(block)})
+		r.Sched = append(r.Sched, trace.Step{Tid: int(tid), Block: int(block)})
 	}
 	nInputs := d.Count("input count", maxInputRecs)
 	for i := 0; i < nInputs && d.Err() == nil; i++ {

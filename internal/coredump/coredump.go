@@ -74,6 +74,12 @@ func (f Fault) String() string {
 	return s
 }
 
+// Same reports whether two faults are the same failure: kind, thread,
+// pc and address. Detail is free text and is not compared.
+func (f Fault) Same(o Fault) bool {
+	return f.Kind == o.Kind && f.Thread == o.Thread && f.PC == o.PC && f.Addr == o.Addr
+}
+
 // ThreadState is the scheduling state of a thread at dump time.
 type ThreadState uint8
 

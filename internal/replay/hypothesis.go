@@ -1,11 +1,7 @@
 package replay
 
 import (
-	"fmt"
-
 	"res/internal/core"
-	"res/internal/coredump"
-	"res/internal/isa"
 	"res/internal/prog"
 	"res/internal/vm"
 )
@@ -14,81 +10,28 @@ import (
 // formulated during debugging": structured queries evaluated by replaying
 // the synthesized suffix with instrumentation, such as
 //
-//   - "what was the program state when the program was executing at
-//     program counter X?"  -> StateAt
 //   - "was a thread T preempted before updating shared memory location
 //     M?"                  -> PreemptedBeforeWrite
 //   - "which thread last wrote M, and when?" -> LastWriter
 //
 // Because the suffix replays deterministically, every query has a single
-// well-defined answer for this reconstruction.
+// well-defined answer for this reconstruction. A suffix whose schedule
+// cannot be followed has no such answer: the queries then return its
+// *Divergence as the error.
 
-// StateSample is a snapshot of one thread's state at a queried moment.
-type StateSample struct {
-	Step int // schedule position (block index within the suffix)
-	Tid  int
-	PC   int
-	Regs [isa.NumRegs]int64
-	// Mem holds the values of the queried addresses at that moment.
-	Mem map[uint32]int64
-}
-
-// StateAt replays the suffix and captures the machine state every time
-// execution reaches program counter pc (any thread), reporting the given
-// memory addresses alongside the registers. It answers the paper's
-// "what was the program state at pc X" hypothesis directly.
-func StateAt(p *prog.Program, syn *core.Synthesized, pc int, addrs []uint32) ([]StateSample, error) {
-	var samples []StateSample
-	var v *vm.VM
-	step := 0
-	hooks := vm.Hooks{
-		OnBlockStart: func(tid, block int) {},
-	}
+// follow replays the suffix under hooks through the forced schedule.
+// *step tracks the index of the running schedule step for the hooks.
+func follow(p *prog.Program, syn *core.Synthesized, step *int, hooks vm.Hooks) error {
+	*step = -1
+	hooks.OnBlockStart = func(int, int) { *step++ }
 	v, err := New(p, syn, Config{Hooks: hooks})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Drive block by block; after each block, check whether the block
-	// contained pc and sample state at block boundaries (the finest
-	// deterministic grain of the schedule).
-	for _, s := range syn.Suffix.Steps {
-		t := v.Thread(s.Tid)
-		if t == nil {
-			return nil, fmt.Errorf("replay: schedule names dead thread %d", s.Tid)
-		}
-		block, err := p.BlockAt(t.PC)
-		if err != nil {
-			return nil, err
-		}
-		hit := block.Contains(pc)
-		if hit {
-			// Sample just before the block containing pc runs.
-			samples = append(samples, sample(v, step, s.Tid, t.PC, addrs))
-		}
-		if f := v.ExecBlock(s.Tid); f != nil && f.Kind != coredump.FaultNone {
-			if hit && f.PC >= pc {
-				// The faulting block contained the pc; the pre-block
-				// sample above already covers it.
-				return samples, nil
-			}
-			break
-		}
-		step++
+	if i, _, err := v.Follow(syn.Suffix.Steps); err != nil {
+		return &Divergence{Step: i, Reason: err.Error()}
 	}
-	return samples, nil
-}
-
-func sample(v *vm.VM, step, tid, pc int, addrs []uint32) StateSample {
-	s := StateSample{Step: step, Tid: tid, PC: pc, Mem: make(map[uint32]int64, len(addrs))}
-	if t := v.Thread(tid); t != nil {
-		s.Regs = t.Regs
-	}
-	for _, a := range addrs {
-		if v.Mem.InRange(a) {
-			s.Mem[a] = v.Mem.Load(a)
-		}
-	}
-	return s
+	return nil
 }
 
 // WriteEvent is one observed write to a watched address.
@@ -102,23 +45,16 @@ type WriteEvent struct {
 // the last entry answers "who last wrote M before the failure".
 func LastWriter(p *prog.Program, syn *core.Synthesized, addr uint32) ([]WriteEvent, error) {
 	var events []WriteEvent
-	step := 0
-	hooks := vm.Hooks{
+	var step int
+	err := follow(p, syn, &step, vm.Hooks{
 		OnAccess: func(tid, pc int, a uint32, write bool) {
 			if write && a == addr {
 				events = append(events, WriteEvent{Step: step, Tid: tid, PC: pc})
 			}
 		},
-	}
-	v, err := New(p, syn, Config{Hooks: hooks})
+	})
 	if err != nil {
 		return nil, err
-	}
-	for _, s := range syn.Suffix.Steps {
-		if f := v.ExecBlock(s.Tid); f != nil && f.Kind != coredump.FaultNone {
-			break
-		}
-		step++
 	}
 	return events, nil
 }
@@ -134,25 +70,18 @@ func PreemptedBeforeWrite(p *prog.Program, syn *core.Synthesized, tid int, addr 
 		write bool
 	}
 	var accesses []access
-	step := 0
-	hooks := vm.Hooks{
+	var step int
+	err := follow(p, syn, &step, vm.Hooks{
 		OnAccess: func(t, pc int, a uint32, write bool) {
 			if a == addr {
 				accesses = append(accesses, access{step: step, tid: t, write: write})
 			}
 		},
-	}
-	v, err := New(p, syn, Config{Hooks: hooks})
+	})
 	if err != nil {
 		return false, err
 	}
 	schedule := syn.Suffix.Steps
-	for _, s := range schedule {
-		if f := v.ExecBlock(s.Tid); f != nil && f.Kind != coredump.FaultNone {
-			break
-		}
-		step++
-	}
 	// Find a read(tid) ... write(tid) pair on addr with an intervening
 	// step by another thread.
 	for i, a := range accesses {

@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"errors"
 	"testing"
 
 	"res/internal/core"
@@ -8,34 +9,6 @@ import (
 	"res/internal/vm"
 	"res/internal/workload"
 )
-
-func TestStateAtSamplesLoop(t *testing.T) {
-	p, d, syn := synthesize(t, loopCrashSrc, vm.Config{}, 8)
-	_ = d
-	addr, _ := p.GlobalAddr("g")
-	// pc 2 is the storeg inside the loop body; its block runs once per
-	// reconstructed iteration.
-	samples, err := replay.StateAt(p, syn, 2, []uint32{addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) == 0 {
-		t.Fatal("no samples at the loop body pc")
-	}
-	// g grows by 2 per iteration; the samples must be monotonically
-	// increasing snapshots of that history.
-	last := int64(-1)
-	for _, s := range samples {
-		v := s.Mem[addr]
-		if v < last {
-			t.Errorf("state history not monotone: %d after %d", v, last)
-		}
-		last = v
-		if s.Tid != 0 {
-			t.Errorf("unexpected thread %d", s.Tid)
-		}
-	}
-}
 
 func TestLastWriter(t *testing.T) {
 	p, d, syn := synthesize(t, loopCrashSrc, vm.Config{}, 8)
@@ -111,5 +84,24 @@ func TestPreemptedBeforeWriteNegative(t *testing.T) {
 	}
 	if got {
 		t.Error("phantom preemption in a single-threaded suffix")
+	}
+}
+
+// TestHypothesesRejectDivergentSuffix: a suffix whose schedule cannot be
+// followed has no answer; both queries return its divergence rather than
+// an answer about some other execution.
+func TestHypothesesRejectDivergentSuffix(t *testing.T) {
+	p, _, syn := synthesize(t, loopCrashSrc, vm.Config{}, 8)
+	addr, _ := p.GlobalAddr("g")
+	bad := *syn
+	bad.Suffix = syn.Suffix.Clone()
+	last := len(bad.Suffix.Steps) - 1
+	bad.Suffix.Steps[last].Block = p.NumBlocks() + 7
+	var div *replay.Divergence
+	if _, err := replay.LastWriter(p, &bad, addr); !errors.As(err, &div) || div.Step != last {
+		t.Errorf("LastWriter error = %v, want a divergence at step %d", err, last)
+	}
+	if _, err := replay.PreemptedBeforeWrite(p, &bad, 0, addr); !errors.As(err, &div) || div.Step != last {
+		t.Errorf("PreemptedBeforeWrite error = %v, want a divergence at step %d", err, last)
 	}
 }

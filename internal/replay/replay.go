@@ -12,7 +12,6 @@ import (
 
 	"res/internal/core"
 	"res/internal/coredump"
-	"res/internal/isa"
 	"res/internal/prog"
 	"res/internal/vm"
 )
@@ -38,9 +37,6 @@ type Result struct {
 	MemDiff []uint32
 	// Divergence is non-nil when the forced schedule could not be followed.
 	Divergence *Divergence
-	// VM is the machine after the replay, for state inspection (the
-	// debugger wraps it).
-	VM *vm.VM
 }
 
 // Config tunes the replay.
@@ -88,77 +84,36 @@ func Run(p *prog.Program, syn *core.Synthesized, original *coredump.Dump, cfg Co
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{VM: v}
+	res := &Result{}
 	steps := syn.Suffix.Steps
-	for i, step := range steps {
-		t := v.Thread(step.Tid)
-		if t == nil {
-			res.Divergence = &Divergence{Step: i, Reason: fmt.Sprintf("thread %d does not exist", step.Tid)}
-			return res, nil
-		}
-		block, err := p.BlockAt(t.PC)
-		if err != nil {
-			res.Divergence = &Divergence{Step: i, Reason: err.Error()}
-			return res, nil
-		}
-		if block.ID != step.Block {
-			res.Divergence = &Divergence{Step: i, Reason: fmt.Sprintf("thread %d at block %d, schedule says %d", step.Tid, block.ID, step.Block)}
-			return res, nil
-		}
-		f := v.ExecBlock(step.Tid)
-		if f == nil {
-			continue
-		}
-		if f.Kind == coredump.FaultNone {
-			res.Divergence = &Divergence{Step: i, Reason: "forced thread blocked on a lock"}
-			return res, nil
-		}
-		res.Fault = *f
-		if i != len(steps)-1 {
-			// Early faults under CheckHeap are the point of checked
-			// replay: report the fault, not a divergence.
-			if cfg.CheckHeap && (f.Kind == coredump.FaultHeapOOB || f.Kind == coredump.FaultUseAfterFree) {
-				return res, nil
-			}
-			res.Divergence = &Divergence{Step: i, Reason: fmt.Sprintf("premature fault %v", f)}
-			return res, nil
-		}
-		res.MemDiff = v.Mem.Diff(original.Mem)
-		res.Matches = len(res.MemDiff) == 0 && matches(v, f, original)
+	i, f, err := v.Follow(steps)
+	if err != nil {
+		res.Divergence = &Divergence{Step: i, Reason: err.Error()}
 		return res, nil
 	}
-	// No fault surfaced. For global faults (deadlock) verify the end state
-	// instead.
-	if original.Fault.Thread < 0 {
-		res.Fault = original.Fault
-		res.MemDiff = v.Mem.Diff(original.Mem)
-		res.Matches = len(res.MemDiff) == 0
+	if f == nil {
+		// No fault surfaced. For global faults (deadlock) verify the end
+		// state instead.
+		if original.Fault.Thread < 0 {
+			res.Fault = original.Fault
+			res.MemDiff = v.Mem.Diff(original.Mem)
+			res.Matches = len(res.MemDiff) == 0
+			return res, nil
+		}
+		res.Divergence = &Divergence{Step: -1, Reason: "schedule completed without reproducing the fault"}
 		return res, nil
 	}
-	res.Divergence = &Divergence{Step: -1, Reason: "schedule completed without reproducing the fault"}
+	res.Fault = *f
+	if i != len(steps)-1 {
+		// Early faults under CheckHeap are the point of checked replay:
+		// report the fault, not a divergence.
+		if cfg.CheckHeap && (f.Kind == coredump.FaultHeapOOB || f.Kind == coredump.FaultUseAfterFree) {
+			return res, nil
+		}
+		res.Divergence = &Divergence{Step: i, Reason: fmt.Sprintf("premature fault %v", f)}
+		return res, nil
+	}
+	res.MemDiff = v.Mem.Diff(original.Mem)
+	res.Matches = len(res.MemDiff) == 0 && f.Same(original.Fault) && v.SameThreads(original)
 	return res, nil
-}
-
-// matches compares the replayed failure state against the original dump:
-// fault descriptor and per-thread registers. Run compares memory.
-func matches(v *vm.VM, f *coredump.Fault, original *coredump.Dump) bool {
-	of := original.Fault
-	if f.Kind != of.Kind || f.PC != of.PC || f.Thread != of.Thread || f.Addr != of.Addr {
-		return false
-	}
-	for _, ot := range original.Threads {
-		t := v.Thread(ot.ID)
-		if t == nil {
-			return false
-		}
-		for r := 0; r < isa.NumRegs; r++ {
-			if t.Regs[r] != ot.Regs[r] {
-				return false
-			}
-		}
-		if t.PC != ot.PC {
-			return false
-		}
-	}
-	return true
 }

@@ -118,6 +118,10 @@ type Analysis struct {
 	Cause    *Cause
 	Faithful bool
 	Races    []*Cause // all conflicts found, primary first
+	// Replay is the instrumented replay the cause was read from: heap
+	// checking on, access and lock hooks attached. Without a heap fault
+	// it ran the same blocks a plain replay would.
+	Replay *replay.Result
 }
 
 // Analyze replays the synthesized suffix with instrumentation and returns
@@ -163,7 +167,7 @@ func Analyze(p *prog.Program, syn *core.Synthesized, original *coredump.Dump) (*
 		return nil, err
 	}
 
-	an := &Analysis{Faithful: rr.Matches}
+	an := &Analysis{Faithful: rr.Matches, Replay: rr}
 
 	// Checked replay surfaced heap corruption that production missed: the
 	// corrupting access is the root cause.

@@ -1,7 +1,8 @@
 // Package trace defines execution suffixes and schedules: the shared
-// currency between the concrete VM (which can record them as ground
-// truth), RES (which synthesizes them from a coredump), and the replayer
-// (which forces them back onto the VM).
+// currency between RES, which synthesizes them from a coredump, the
+// checkpoint recorder, which logs the schedule a production run takes,
+// and the concrete VM, which follows them (vm.VM.Follow) whenever a
+// forward replay forces a schedule back onto it.
 package trace
 
 import (
@@ -22,39 +23,6 @@ type InputRec struct {
 	Tid     int
 	Channel int64
 	Value   int64
-}
-
-// Trace is a recorded or synthesized execution fragment: the schedule at
-// block granularity plus the external inputs consumed, in order.
-type Trace struct {
-	Steps  []Step
-	Inputs []InputRec
-}
-
-// Append adds a step.
-func (t *Trace) Append(s Step) { t.Steps = append(t.Steps, s) }
-
-// Len returns the number of scheduled blocks.
-func (t *Trace) Len() int { return len(t.Steps) }
-
-// Tail returns the last n steps (or all of them if fewer).
-func (t *Trace) Tail(n int) []Step {
-	if n >= len(t.Steps) {
-		return t.Steps
-	}
-	return t.Steps[len(t.Steps)-n:]
-}
-
-// String renders the schedule compactly.
-func (t *Trace) String() string {
-	var b strings.Builder
-	for i, s := range t.Steps {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(s.String())
-	}
-	return b.String()
 }
 
 // Suffix is RES's synthesized execution suffix: a schedule whose first

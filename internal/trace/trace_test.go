@@ -5,32 +5,6 @@ import (
 	"testing"
 )
 
-func TestTraceAppendAndTail(t *testing.T) {
-	var tr Trace
-	for i := 0; i < 5; i++ {
-		tr.Append(Step{Tid: i % 2, Block: i})
-	}
-	if tr.Len() != 5 {
-		t.Fatalf("len = %d", tr.Len())
-	}
-	tail := tr.Tail(2)
-	if len(tail) != 2 || tail[0].Block != 3 || tail[1].Block != 4 {
-		t.Errorf("tail = %v", tail)
-	}
-	if got := tr.Tail(99); len(got) != 5 {
-		t.Errorf("oversized tail = %v", got)
-	}
-}
-
-func TestTraceString(t *testing.T) {
-	var tr Trace
-	tr.Append(Step{Tid: 0, Block: 3})
-	tr.Append(Step{Tid: 1, Block: 7})
-	if got := tr.String(); got != "t0:b3 t1:b7" {
-		t.Errorf("String = %q", got)
-	}
-}
-
 func TestSuffixClone(t *testing.T) {
 	s := &Suffix{
 		Steps:    []Step{{Tid: 0, Block: 1}},

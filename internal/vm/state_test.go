@@ -152,7 +152,7 @@ fin:
 	if d, _ := v.Run(); d != nil {
 		t.Fatalf("fault: %v", d.Fault)
 	}
-	dump := v.Snapshot(coredump.Fault{})
+	dump := v.capture(coredump.Fault{})
 	// Only the unconditional jmp is recorded.
 	if len(dump.LBR) != 1 {
 		t.Fatalf("LBR = %+v, want only the jmp", dump.LBR)

@@ -52,10 +52,6 @@ type Config struct {
 	// switches away from a runnable thread at a block boundary. 0 keeps
 	// threads running until they block or exit.
 	PreemptPct int
-	// RecordTrace makes the VM record the full schedule and input
-	// consumption. This is ground truth for tests and experiment
-	// harnesses only — RES never sees it.
-	RecordTrace bool
 	// Hooks observe execution; the replay-time root-cause detectors use
 	// them. All hooks may be nil.
 	Hooks Hooks
@@ -156,8 +152,9 @@ type Thread struct {
 	WaitAddr uint32
 }
 
-// VM is an interpreter instance. Create with New, drive with Run, or use
-// the fine-grained Step/ExecBlock API (the replayer does).
+// VM is an interpreter instance. Create with New or NewFromState. Run
+// lets the seeded scheduler pick threads; Follow forces a schedule (every
+// forward replay does); ExecBlock runs one block (the debugger steps).
 type VM struct {
 	P   *prog.Program
 	Mem *mem.Image
@@ -177,8 +174,6 @@ type VM struct {
 	steps uint64
 	rng   *rand.Rand
 	cfg   Config
-
-	Trace *trace.Trace // non-nil when cfg.RecordTrace
 }
 
 // New creates a VM for the program with globals initialized and thread 0
@@ -201,9 +196,6 @@ func New(p *prog.Program, cfg Config) (*VM, error) {
 	}
 	if v.lbrSize == 0 {
 		v.lbrSize = DefaultLBRSize
-	}
-	if cfg.RecordTrace {
-		v.Trace = &trace.Trace{}
 	}
 	for _, g := range p.Globals {
 		for i, val := range g.Init {
@@ -254,9 +246,6 @@ func NewFromState(p *prog.Program, cfg Config, st State) (*VM, error) {
 	}
 	if v.heapNext == 0 {
 		v.heapNext = p.Layout.HeapBase
-	}
-	if cfg.RecordTrace {
-		v.Trace = &trace.Trace{}
 	}
 	for a, o := range st.Locks {
 		v.locks[a] = o
@@ -411,9 +400,6 @@ func (v *VM) ExecBlock(tid int) *coredump.Fault {
 		}
 	}
 	v.steps++
-	if v.Trace != nil {
-		v.Trace.Append(trace.Step{Tid: tid, Block: block.ID})
-	}
 	if v.cfg.Hooks.OnBlockStart != nil {
 		v.cfg.Hooks.OnBlockStart(tid, block.ID)
 	}
@@ -429,6 +415,37 @@ func (v *VM) ExecBlock(tid int) *coredump.Fault {
 		t.PC = pc + 1
 	}
 	return nil
+}
+
+// Follow forces a schedule onto the machine. For each step, the step's
+// thread must exist and stand at the step's block, which then runs. It
+// stops at the first fault and returns that step's index with the
+// fault; without one it returns len(steps). It fails, returning the
+// step's index, at the first step it cannot follow: the thread is
+// missing, stands at another block, or blocked on a lock.
+func (v *VM) Follow(steps []trace.Step) (int, *coredump.Fault, error) {
+	for i, s := range steps {
+		t := v.Thread(s.Tid)
+		if t == nil {
+			return i, nil, fmt.Errorf("thread %d does not exist", s.Tid)
+		}
+		block, err := v.P.BlockAt(t.PC)
+		if err != nil {
+			return i, nil, err
+		}
+		if block.ID != s.Block {
+			return i, nil, fmt.Errorf("thread %d at block %d, schedule says %d", s.Tid, block.ID, s.Block)
+		}
+		f := v.ExecBlock(s.Tid)
+		if f == nil {
+			continue
+		}
+		if f.Kind == coredump.FaultNone {
+			return i, nil, fmt.Errorf("scheduled thread %d blocked on a lock", s.Tid)
+		}
+		return i, f, nil
+	}
+	return len(steps), nil, nil
 }
 
 func (v *VM) lockOwner(addr uint64) (int, bool) {
@@ -698,9 +715,6 @@ func (v *VM) execInstr(t *Thread, in *isa.Instr) (bool, *coredump.Fault) {
 		if v.cfg.Hooks.OnInput != nil {
 			v.cfg.Hooks.OnInput(t.ID, ch, val)
 		}
-		if v.Trace != nil {
-			v.Trace.Inputs = append(v.Trace.Inputs, trace.InputRec{Tid: t.ID, Channel: ch, Value: val})
-		}
 	case isa.OpOutput:
 		v.outputs = append(v.outputs, coredump.OutputRec{PC: pc, Tag: in.Imm, Value: r[in.Rs1]})
 	case isa.OpAssert:
@@ -748,15 +762,23 @@ func (v *VM) capture(f coredump.Fault) *coredump.Dump {
 	return d
 }
 
-// Snapshot captures the current state as a dump with the given fault
-// descriptor; used by fault-injection harnesses.
-func (v *VM) Snapshot(f coredump.Fault) *coredump.Dump { return v.capture(f) }
+// SameThreads reports whether every thread of the dump exists in the
+// machine with the dump's registers and pc. Scheduling states are
+// deliberately not compared: a thread the original run parked on a
+// contended lock (an uncounted, unlogged transition) is merely still
+// runnable in a replay, with identical registers and pc.
+func (v *VM) SameThreads(d *coredump.Dump) bool {
+	for _, ot := range d.Threads {
+		t := v.Thread(ot.ID)
+		if t == nil || t.Regs != ot.Regs || t.PC != ot.PC {
+			return false
+		}
+	}
+	return true
+}
 
 // Outputs returns the output log so far.
 func (v *VM) Outputs() []coredump.OutputRec { return v.outputs }
-
-// Heap returns the allocator records so far.
-func (v *VM) Heap() []coredump.HeapObject { return append([]coredump.HeapObject(nil), v.heap...) }
 
 func b2i(b bool) int64 {
 	if b {

@@ -1,11 +1,13 @@
 package vm
 
 import (
+	"strings"
 	"testing"
 
 	"res/internal/asm"
 	"res/internal/coredump"
 	"res/internal/isa"
+	"res/internal/trace"
 )
 
 func run(t *testing.T, src string, cfg Config) (*VM, *coredump.Dump) {
@@ -231,7 +233,7 @@ func main:
 	if d != nil {
 		t.Fatalf("fault: %v", d.Fault)
 	}
-	h := v.Heap()
+	h := v.heap
 	if len(h) != 1 || !h[0].Freed || h[0].Size != 4 {
 		t.Errorf("heap = %+v", h)
 	}
@@ -540,7 +542,7 @@ done:
 		t.Fatalf("fault: %v", d.Fault)
 	}
 	// 3 branch records from the br (two taken, one fallthrough).
-	dump := v.Snapshot(coredump.Fault{})
+	dump := v.capture(coredump.Fault{})
 	if len(dump.LBR) != 3 {
 		t.Fatalf("LBR = %+v", dump.LBR)
 	}
@@ -564,29 +566,85 @@ done:
 	if d, _ := v.Run(); d != nil {
 		t.Fatalf("fault: %v", d.Fault)
 	}
-	dump := v.Snapshot(coredump.Fault{})
+	dump := v.capture(coredump.Fault{})
 	if len(dump.LBR) != 8 {
 		t.Errorf("LBR len = %d, want 8", len(dump.LBR))
 	}
 }
 
-func TestTraceRecording(t *testing.T) {
+// TestFollow forces a recorded schedule onto a fresh machine: it reaches
+// the recorded failure at the last step, and it refuses a step whose
+// thread is missing, stands at another block, or blocks on a lock.
+func TestFollow(t *testing.T) {
 	src := `
+.global m 1
 func main:
-    input r1, 0
-    assert r1
+    const r1, 0
+    spawn worker, r1
+    const r2, &m
+    lock r2
+    yield
+    const r3, 0
+    assert r3
+    halt
+func worker:
+    const r2, &m
+    yield
+    lock r2
+    unlock r2
     halt
 `
 	p := asm.MustAssemble(src)
-	v, _ := New(p, Config{RecordTrace: true, Inputs: map[int64][]int64{0: {5}}})
-	if d, _ := v.Run(); d != nil {
-		t.Fatalf("fault: %v", d.Fault)
+	var steps []trace.Step
+	rec := Hooks{OnBlockStart: func(tid, block int) { steps = append(steps, trace.Step{Tid: tid, Block: block}) }}
+	_, d := run(t, src, Config{Hooks: rec})
+	if d == nil || d.Fault.Kind != coredump.FaultAssert {
+		t.Fatalf("want an assert dump, got %+v", d)
 	}
-	if v.Trace == nil || v.Trace.Len() == 0 {
-		t.Fatal("no trace recorded")
+	fresh := func() *VM {
+		v, err := New(p, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
-	if len(v.Trace.Inputs) != 1 || v.Trace.Inputs[0].Value != 5 {
-		t.Errorf("trace inputs = %+v", v.Trace.Inputs)
+
+	v := fresh()
+	i, f, err := v.Follow(steps)
+	if err != nil || f == nil || i != len(steps)-1 {
+		t.Fatalf("Follow = %d, %v, %v; want the fault at step %d", i, f, err, len(steps)-1)
+	}
+	if !f.Same(d.Fault) || !v.SameThreads(d) || len(v.Mem.Diff(d.Mem)) != 0 {
+		t.Errorf("followed run ends at %v, not the dump's %v", f, d.Fault)
+	}
+
+	wrong := append([]trace.Step(nil), steps...)
+	wrong[1].Block = 99
+	if i, _, err := fresh().Follow(wrong); i != 1 || err == nil || !strings.Contains(err.Error(), "schedule says 99") {
+		t.Errorf("wrong block: Follow = %d, %v", i, err)
+	}
+	if i, _, err := fresh().Follow([]trace.Step{{Tid: 5}}); i != 0 || err == nil || !strings.Contains(err.Error(), "thread 5 does not exist") {
+		t.Errorf("missing thread: Follow = %d, %v", i, err)
+	}
+
+	// Main holds m after its first three blocks; the worker then parks
+	// on its lock, which is always a block of its own.
+	v = fresh()
+	if _, f, err := v.Follow(steps[:3]); f != nil || err != nil {
+		t.Fatalf("prefix: %v %v", f, err)
+	}
+	for k := 0; k < 2; k++ {
+		b, err := p.BlockAt(v.Thread(1).PC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, f, err := v.Follow([]trace.Step{{Tid: 1, Block: b.ID}})
+		if k == 0 && (f != nil || err != nil) {
+			t.Fatalf("worker's first block: %v %v", f, err)
+		}
+		if k == 1 && (err == nil || !strings.Contains(err.Error(), "scheduled thread 1 blocked on a lock")) {
+			t.Errorf("contended lock: Follow error = %v", err)
+		}
 	}
 }
 

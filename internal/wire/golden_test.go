@@ -18,6 +18,7 @@ import (
 	"res/internal/minimize"
 	"res/internal/prog"
 	"res/internal/store"
+	"res/internal/trace"
 	"res/internal/vm"
 )
 
@@ -93,7 +94,7 @@ func goldenRing() *checkpoint.Ring {
 			},
 		},
 		LogBase: 8,
-		Sched:   []checkpoint.SchedRec{{Tid: 0, Block: 2}, {Tid: 1, Block: 5}, {Tid: 1, Block: 6}, {Tid: 0, Block: 3}},
+		Sched:   []trace.Step{{Tid: 0, Block: 2}, {Tid: 1, Block: 5}, {Tid: 1, Block: 6}, {Tid: 0, Block: 3}},
 		Inputs:  []checkpoint.InputRec{{Step: 8, Channel: 0, Value: -1}, {Step: 10, Channel: 1, Value: 1 << 35}},
 	}
 }
