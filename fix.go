@@ -19,10 +19,6 @@ type FixPatchOp = fixverify.Op
 // reproduced failure.
 type FixVerdict = fixverify.Result
 
-// FixVerifyConfig tunes fix verification (run-out budget past the
-// reproduced window).
-type FixVerifyConfig = fixverify.Config
-
 // Fix verification verdicts.
 const (
 	// FixVerdictFixed: the patched program survives the reproduced
@@ -65,13 +61,8 @@ func DecodePatch(b []byte) (*FixPatch, error) { return fixverify.DecodeAny(b) }
 // recorded schedule cannot be driven through it — in that case, record
 // a fresh failure of the patched program and analyze that instead.
 func VerifyFix(source string, patch *FixPatch, r *Result, d *Dump) (*FixVerdict, error) {
-	return VerifyFixConfig(source, patch, r, d, FixVerifyConfig{})
-}
-
-// VerifyFixConfig is VerifyFix with an explicit configuration.
-func VerifyFixConfig(source string, patch *FixPatch, r *Result, d *Dump, cfg FixVerifyConfig) (*FixVerdict, error) {
 	if r == nil || r.Synthesized == nil {
 		return nil, errors.New("res: VerifyFix needs an analysis result with a synthesized suffix")
 	}
-	return fixverify.Verify(source, patch, r.Synthesized, d, cfg)
+	return fixverify.Verify(source, patch, r.Synthesized, d)
 }

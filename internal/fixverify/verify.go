@@ -50,15 +50,10 @@ type Result struct {
 	Contacted bool `json:"contacted"`
 }
 
-// Config tunes verification.
-type Config struct {
-	// RunOutBlocks bounds the deterministic run-out after the forced
-	// schedule completes without a fault: the patch may have shifted the
-	// failure a few blocks past the recorded window. 0 = default (256).
-	RunOutBlocks int
-}
-
-const defaultRunOut = 256
+// runOutBlocks bounds the deterministic run-out after the forced
+// schedule completes without a fault: the patch may have shifted the
+// failure a few blocks past the recorded window.
+const runOutBlocks = 256
 
 // Verify checks a proposed fix against a synthesized failure suffix. It
 // applies the patch to the program's source, maps the suffix's pre-state
@@ -71,7 +66,7 @@ const defaultRunOut = 256
 // satisfiability.
 //
 // source must be the assembly text the suffix was synthesized against.
-func Verify(source string, p *Patch, syn *core.Synthesized, d *coredump.Dump, cfg Config) (*Result, error) {
+func Verify(source string, p *Patch, syn *core.Synthesized, d *coredump.Dump) (*Result, error) {
 	if syn == nil || syn.Suffix == nil {
 		return nil, fmt.Errorf("fixverify: no synthesized suffix to replay")
 	}
@@ -182,7 +177,7 @@ schedule: // phase 1+2: the forced schedule
 		// Run-out: the patch may have pushed the failure past the recorded
 		// window. Continue deterministically (rotating over runnable
 		// threads) for a bounded number of blocks.
-		fault = runOut(v, guard, cfg.runOut())
+		fault = runOut(v, guard)
 	}
 
 	if fault != nil {
@@ -242,13 +237,6 @@ schedule: // phase 1+2: the forced schedule
 	}
 }
 
-func (c Config) runOut() int {
-	if c.RunOutBlocks > 0 {
-		return c.RunOutBlocks
-	}
-	return defaultRunOut
-}
-
 // guardSampler captures the fault thread's registers each time it
 // finishes executing the block holding the mapped failure site; the last
 // sample feeds the residual constraint.
@@ -304,11 +292,11 @@ func faultMatches(f *coredump.Fault, d *coredump.Dump, mappedPC int, mapped bool
 }
 
 // runOut continues execution deterministically after the forced schedule:
-// runnable threads take turns in rotating tid order for up to budget
-// blocks, or until a fault or global halt.
-func runOut(v *vm.VM, guard *guardSampler, budget int) *coredump.Fault {
+// runnable threads take turns in rotating tid order for up to
+// runOutBlocks blocks, or until a fault or global halt.
+func runOut(v *vm.VM, guard *guardSampler) *coredump.Fault {
 	cursor := 0
-	for n := 0; n < budget; n++ {
+	for n := 0; n < runOutBlocks; n++ {
 		tid, ok := nextRunnable(v, cursor)
 		if !ok {
 			return nil

@@ -191,7 +191,7 @@ func TestVerifyDivergenceBeforeAnchorInconclusive(t *testing.T) {
 	}
 	syn := wholeRunSyn(t, p)
 	// Sanity: the honest whole-run schedule replays to the fault.
-	if v, err := fixverify.Verify(divergeSrc, &fixverify.Patch{}, syn, d, fixverify.Config{}); err != nil || v.Verdict != res.FixVerdictNotFixed {
+	if v, err := fixverify.Verify(divergeSrc, &fixverify.Patch{}, syn, d); err != nil || v.Verdict != res.FixVerdictNotFixed {
 		t.Fatalf("whole-run schedule does not reproduce: %+v, %v", v, err)
 	}
 	// Corrupt the schedule so the replay diverges at step 0 — before the
@@ -205,7 +205,7 @@ func TestVerifyDivergenceBeforeAnchorInconclusive(t *testing.T) {
     halt
 end
 `)
-	v, err := fixverify.Verify(divergeSrc, patch, syn, d, fixverify.Config{})
+	v, err := fixverify.Verify(divergeSrc, patch, syn, d)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}

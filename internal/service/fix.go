@@ -260,7 +260,7 @@ func (s *Service) completeFixVerify(sh *shard, js *jobState, r *res.Result) {
 		}
 	default:
 		var err error
-		fr, err = fixverify.Verify(js.src, js.patch, r.Synthesized, js.dump, fixverify.Config{})
+		fr, err = fixverify.Verify(js.src, js.patch, r.Synthesized, js.dump)
 		if err != nil {
 			s.finish(sh, js, func(j *Job) {
 				j.Status = StatusFailed
