@@ -158,7 +158,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	d, evBytes, ckBytes, err := cli.LoadDumpAttachments(*dumpPath)
+	d, evBytes, ckBytes, err := cli.LoadDump(*dumpPath, p)
 	if err != nil {
 		cli.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	d, _, ckBytes, err := cli.LoadDumpAttachments(*dumpPath)
+	d, _, ckBytes, err := cli.LoadDump(*dumpPath, p)
 	if err != nil {
 		cli.Fatal(err)
 	}

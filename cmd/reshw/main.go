@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	d, err := cli.LoadDump(*dumpPath)
+	d, _, _, err := cli.LoadDump(*dumpPath, p)
 	if err != nil {
 		cli.Fatal(err)
 	}

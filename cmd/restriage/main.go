@@ -401,7 +401,7 @@ func loadManifest(path string) ([]triage.Item, error) {
 			}
 			progs[fields[0]] = p
 		}
-		d, evBytes, err := cli.LoadDumpEvidence(fields[1])
+		d, evBytes, _, err := cli.LoadDump(fields[1], p)
 		if err != nil {
 			return nil, err
 		}

@@ -79,51 +79,29 @@ func LoadProgram(path string) (*prog.Program, error) {
 	return p, nil
 }
 
-// LoadDump reads a serialized coredump. Files in the attachment
-// container form are accepted; their attachments are ignored (use
-// LoadDumpEvidence to keep them).
-func LoadDump(path string) (*coredump.Dump, error) {
-	d, _, err := LoadDumpEvidence(path)
-	return d, err
-}
-
-// LoadDumpEvidence reads a coredump file in either the plain or the
-// attachment-container form and returns the dump together with its
-// evidence attachment's wire bytes (nil when the file carries none).
-func LoadDumpEvidence(path string) (*coredump.Dump, []byte, error) {
-	d, ev, _, err := LoadDumpAttachments(path)
-	return d, ev, err
-}
-
-// LoadDumpAttachments reads a coredump file in either the plain or the
+// LoadDump reads a coredump file of program p in either the plain or the
 // attachment-container form and returns the dump together with its
 // evidence and checkpoint attachments' wire bytes (nil when the file
-// carries none). A container whose attachment area is damaged degrades:
-// the dump still loads, the attachments are dropped with a warning on
-// stderr — a corrupt sidecar must not make the crash dump unreadable.
-func LoadDumpAttachments(path string) (d *coredump.Dump, evidence, checkpoints []byte, err error) {
-	b, err := os.ReadFile(path)
+// carries none). A dump whose image size is not p's is rejected before
+// its image is allocated. Damaged attachment areas degrade the way
+// SplitDumpFile describes.
+func LoadDump(path string, p *prog.Program) (d *coredump.Dump, evidence, checkpoints []byte, err error) {
+	dumpBytes, evidence, checkpoints, err := SplitDumpFile(path)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	dumpBytes, att, warn, err := coredump.DecodeAttachedLenient(b)
-	if err != nil {
+	if d, err = coredump.UnmarshalFor(dumpBytes, p.Layout.MemSize); err != nil {
 		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if warn != "" {
-		fmt.Fprintf(os.Stderr, "warning: %s: %s\n", path, warn)
-	}
-	d, err = coredump.Unmarshal(dumpBytes)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return d, att[coredump.EvidenceAttachment], att[coredump.CheckpointAttachment], nil
+	return d, evidence, checkpoints, nil
 }
 
 // SplitDumpFile reads a coredump file and returns its raw dump bytes and
 // evidence and checkpoint attachment bytes without decoding the dump —
-// the shape remote submission ships over the wire. Damaged attachment
-// areas degrade the same way LoadDumpAttachments does.
+// the shape remote submission ships over the wire. A container whose
+// attachment area is damaged degrades: the dump bytes still load, the
+// attachments are dropped with a warning on stderr — a corrupt sidecar
+// must not make the crash dump unreadable.
 func SplitDumpFile(path string) (dump, evidence, checkpoints []byte, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -1,10 +1,17 @@
 package cli
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
+	"res/internal/asm"
+	"res/internal/coredump"
+	"res/internal/mem"
 	"res/internal/vm"
 )
 
@@ -75,7 +82,7 @@ func main:
 	if err := SaveDump(dumpPath, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadDump(dumpPath)
+	got, _, _, err := LoadDump(dumpPath, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +95,7 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := LoadProgram("/nonexistent/x.s"); err == nil {
 		t.Error("missing program accepted")
 	}
-	if _, err := LoadDump("/nonexistent/x.dump"); err == nil {
+	if _, _, _, err := LoadDump("/nonexistent/x.dump", asm.MustAssemble("func main:\n    halt\n")); err == nil {
 		t.Error("missing dump accepted")
 	}
 	dir := t.TempDir()
@@ -96,5 +103,38 @@ func TestLoadErrors(t *testing.T) {
 	os.WriteFile(bad, []byte("func main:\n frobnicate\n"), 0o644)
 	if _, err := LoadProgram(bad); err == nil {
 		t.Error("bad assembly accepted")
+	}
+}
+
+// TestLoadDumpRejectsForeignImageSize: a dump file is decoded against
+// its program's layout, so a 30-byte file claiming a 2^28-word image is
+// rejected before that image is allocated.
+func TestLoadDumpRejectsForeignImageSize(t *testing.T) {
+	b, err := (&coredump.Dump{Mem: mem.NewImage(1)}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A one-word zero image encodes as its size, 1, then one zero run of 1.
+	tail := []byte{1, 0, 1}
+	if !bytes.HasSuffix(b, tail) {
+		t.Fatalf("one-word image does not end the dump as % x: % x", tail, b)
+	}
+	huge := binary.AppendUvarint(nil, 1<<28)
+	b = append(append(b[:len(b)-len(tail)], huge...), 0)
+	b = append(b, huge...)
+	path := filepath.Join(t.TempDir(), "huge.dump")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := asm.MustAssemble("func main:\n    halt\n")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err = LoadDump(path, p)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("%d-byte dump claiming 2^28 words: error %v, want one naming %s", len(b), err, path)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting it allocated %d bytes, want < 1 MiB", grew)
 	}
 }
