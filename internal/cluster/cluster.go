@@ -428,7 +428,9 @@ func (n *Node) fetchFromPeers(k store.Key) ([]byte, bool) {
 		n.fetches.Add(1)
 		return data, true
 	}
-	n.fetchMisses.Add(1)
+	if len(tried) > 0 {
+		n.fetchMisses.Add(1)
+	}
 	return nil, false
 }
 

@@ -642,6 +642,32 @@ func TestReadThroughRepairsLostDisk(t *testing.T) {
 	}
 }
 
+// TestReadThroughCounters: on a two-node cluster, a read-through of an
+// artifact the peer holds counts one fetch, and one of an artifact no
+// node holds counts one miss.
+func TestReadThroughCounters(t *testing.T) {
+	tc := startCluster(t, 2, (*testCluster).nodeConfig)
+	held := []byte("a dump blob only the peer holds")
+	heldKey := store.DumpKey(store.BytesFingerprint(held))
+	if err := tc.nodes[1].st.PutLocal(heldKey, held); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := tc.nodes[0].st.Get(heldKey); !ok || !bytes.Equal(got, held) {
+		t.Fatalf("read-through of the peer's artifact = %q, %v", got, ok)
+	}
+	absent := store.DumpKey(store.BytesFingerprint([]byte("a dump blob no node holds")))
+	if _, ok := tc.nodes[0].st.Get(absent); ok {
+		t.Fatal("read-through found an artifact no node holds")
+	}
+	m := fetchText(t, tc.urls[0], "/metrics")
+	if v := metricValue(t, m, "resd_cluster_replica_fetches_total"); v != 1 {
+		t.Errorf("resd_cluster_replica_fetches_total = %g, want 1", v)
+	}
+	if v := metricValue(t, m, "resd_cluster_replica_fetch_misses_total"); v != 1 {
+		t.Errorf("resd_cluster_replica_fetch_misses_total = %g, want 1", v)
+	}
+}
+
 // TestThreeNodeFailover kills a program's owner mid-job and asserts the
 // resubmitted dump lands on the rendezvous failover node with a report
 // byte-identical to a single-node run.
