@@ -19,11 +19,15 @@ import (
 // cannot be followed has no such answer: the queries then return its
 // *Divergence as the error.
 
-// follow replays the suffix under hooks through the forced schedule.
-// *step tracks the index of the running schedule step for the hooks.
-func follow(p *prog.Program, syn *core.Synthesized, step *int, hooks vm.Hooks) error {
-	*step = -1
-	hooks.OnBlockStart = func(int, int) { *step++ }
+// follow replays the suffix through its forced schedule and reports
+// every memory access to onAccess, with the index of the schedule step
+// that made it.
+func follow(p *prog.Program, syn *core.Synthesized, onAccess func(step, tid, pc int, addr uint32, write bool)) error {
+	step := -1
+	hooks := vm.Hooks{
+		OnBlockStart: func(int, int) { step++ },
+		OnAccess:     func(tid, pc int, addr uint32, write bool) { onAccess(step, tid, pc, addr, write) },
+	}
 	v, err := New(p, syn, Config{Hooks: hooks})
 	if err != nil {
 		return err
@@ -45,13 +49,10 @@ type WriteEvent struct {
 // the last entry answers "who last wrote M before the failure".
 func LastWriter(p *prog.Program, syn *core.Synthesized, addr uint32) ([]WriteEvent, error) {
 	var events []WriteEvent
-	var step int
-	err := follow(p, syn, &step, vm.Hooks{
-		OnAccess: func(tid, pc int, a uint32, write bool) {
-			if write && a == addr {
-				events = append(events, WriteEvent{Step: step, Tid: tid, PC: pc})
-			}
-		},
+	err := follow(p, syn, func(step, tid, pc int, a uint32, write bool) {
+		if write && a == addr {
+			events = append(events, WriteEvent{Step: step, Tid: tid, PC: pc})
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -70,13 +71,10 @@ func PreemptedBeforeWrite(p *prog.Program, syn *core.Synthesized, tid int, addr 
 		write bool
 	}
 	var accesses []access
-	var step int
-	err := follow(p, syn, &step, vm.Hooks{
-		OnAccess: func(t, pc int, a uint32, write bool) {
-			if a == addr {
-				accesses = append(accesses, access{step: step, tid: t, write: write})
-			}
-		},
+	err := follow(p, syn, func(step, t, _ int, a uint32, write bool) {
+		if a == addr {
+			accesses = append(accesses, access{step: step, tid: t, write: write})
+		}
 	})
 	if err != nil {
 		return false, err
