@@ -340,7 +340,7 @@ func (a *Analyzer) analyzeCheckpointed(ctx context.Context, d *Dump, cfg config,
 		if err != nil {
 			return res, err
 		}
-		if best != nil && best.faithful {
+		if best != nil && best.replay.Matches {
 			if specific(best.cause) {
 				return res, nil
 			}
@@ -415,7 +415,7 @@ func (a *Analyzer) runAnalysis(ctx context.Context, d *Dump, cfg config, sa *sea
 		if cspan != nil {
 			cspan.SetInt("cause_found", b2i(cand != nil))
 			if cand != nil {
-				cspan.SetInt("faithful", b2i(cand.faithful))
+				cspan.SetInt("faithful", b2i(cand.replay.Matches))
 				cspan.SetStr("cause", cand.cause.Kind.String())
 			}
 			cspan.End()
@@ -428,7 +428,7 @@ func (a *Analyzer) runAnalysis(ctx context.Context, d *Dump, cfg config, sa *sea
 		}
 		// Stop as soon as a specific cause is justified by a faithful
 		// replay: the suffix is long enough to contain the root cause.
-		return cand.faithful && specific(cand.cause)
+		return cand.replay.Matches && specific(cand.cause)
 	}
 	eng = core.New(a.p, copt)
 
@@ -556,19 +556,19 @@ func (a *Analyzer) ClassifyHardware(ctx context.Context, d *Dump, opts ...Option
 	return hwerr.ClassifyContext(ctx, a.p, d, copt)
 }
 
+// analysisCandidate is one analyzed suffix, faithful when its replay matches.
 type analysisCandidate struct {
-	node     *core.Node
-	syn      *core.Synthesized
-	cause    *Cause
-	faithful bool
-	replay   *replay.Result
+	node   *core.Node
+	syn    *core.Synthesized
+	cause  *Cause
+	replay *replay.Result
 }
 
 // better orders candidates: faithful beats unfaithful, specific beats
 // generic, deeper (more context) beats shallower among equals.
 func (c *analysisCandidate) better(o *analysisCandidate) bool {
-	if c.faithful != o.faithful {
-		return c.faithful
+	if c.replay.Matches != o.replay.Matches {
+		return c.replay.Matches
 	}
 	cs, os := specific(c.cause), specific(o.cause)
 	if cs != os {
@@ -620,10 +620,9 @@ func analyzeNode(p *Program, eng *core.Engine, n *core.Node, d *Dump) *analysisC
 		return nil
 	}
 	return &analysisCandidate{
-		node:     n,
-		syn:      syn,
-		cause:    an.Cause,
-		faithful: rr.Matches,
-		replay:   rr,
+		node:   n,
+		syn:    syn,
+		cause:  an.Cause,
+		replay: rr,
 	}
 }

@@ -188,11 +188,9 @@ type Result struct {
 	Suffix *Suffix
 	// Synthesized is the full pre-image + schedule bundle for replay.
 	Synthesized *core.Synthesized
-	// Replay is the verification replay of that suffix. Usually it is
-	// the checked replay the cause was read from (heap checking on,
-	// access and lock hooks attached), which without a heap fault runs
-	// the same blocks as a plain replay. When that replay stopped at a
-	// heap fault, it is the plain replay run after it.
+	// Replay is the verification replay of that suffix: the checked,
+	// hooked replay the cause was read from, or the plain replay run
+	// after it when the checked one stopped at a heap fault.
 	Replay *replay.Result
 	// Exploitability is the taint verdict for the failure.
 	Exploitability *taint.Report
