@@ -256,16 +256,14 @@ func (s *Service) run(sh *shard, js *jobState) {
 		s.completeFixVerify(sh, js, r)
 		return
 	}
-	// Count before the store put: a replicating store makes the result
-	// visible on a peer before finish runs.
-	if r.CheckpointAnchor != nil {
-		s.checkpointAnchored.Add(1)
-	}
 	// Only complete, deterministic results enter the store: a partial
 	// (drained or timed-out) report depends on where the cut fell and
 	// must not be served to future submitters as the answer.
 	if err == nil && !r.Partial {
 		s.store.Put(js.key, rep)
+	}
+	if r.CheckpointAnchor != nil {
+		s.checkpointAnchored.Add(1)
 	}
 	bucket := bucketFromReport(sh.name, rep)
 	s.finish(sh, js, func(j *Job) {
