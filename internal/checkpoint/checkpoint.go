@@ -29,8 +29,8 @@ type Checkpoint struct {
 	// Step is the VM step counter at capture time: the number of basic
 	// blocks executed before this state.
 	Step uint64
-	// Mem is the memory image as its nonzero words over an all-zero base,
-	// the same form the wire carries. State builds the flat image.
+	// Mem is the memory image as its nonzero words, the same form the
+	// wire carries. State builds the paged image.
 	Mem *mem.Sparse
 	// Threads are the live threads, dense by ID in spawn order.
 	Threads []vm.Thread
@@ -43,7 +43,7 @@ type Checkpoint struct {
 }
 
 // State lowers the checkpoint to the VM's resume form, with a fresh
-// flat memory image the VM may own.
+// memory image the VM may own.
 func (c *Checkpoint) State() vm.State {
 	return vm.State{
 		Mem:      c.Mem.Image(),

@@ -19,10 +19,11 @@ type Synthesized struct {
 	Suffix *trace.Suffix
 	Model  symx.Model
 
-	// The reconstructed pre-state Mi. PreMem is the dump's image with
-	// the words the suffix reasoned about set over it; it shares the
-	// dump's image as its base.
-	PreMem      *mem.Sparse
+	// The reconstructed pre-state Mi. PreMem is a View of the dump's
+	// image with the words the suffix reasoned about stored in it: it
+	// owns the pages those words sit in and shares the rest with the
+	// dump. Nothing writes it after Concretize; a replay runs on a Clone.
+	PreMem      *mem.Image
 	PreRegs     map[int][isa.NumRegs]int64
 	PreStates   map[int]coredump.ThreadState
 	PreLocks    map[uint32]int

@@ -173,7 +173,7 @@ func wholeRunSyn(t *testing.T, p *res.Program) *core.Synthesized {
 			EndPC:    7, // the assert
 			StartPCs: map[int]int{0: 0},
 		},
-		PreMem:    mem.NewSparse(p.Layout.MemSize),
+		PreMem:    mem.NewImage(p.Layout.MemSize),
 		PreRegs:   map[int][isa.NumRegs]int64{0: {}},
 		PreStates: map[int]coredump.ThreadState{0: coredump.ThreadRunnable},
 		PreLocks:  map[uint32]int{},

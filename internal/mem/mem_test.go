@@ -137,14 +137,14 @@ func TestQuickRoundTrip(t *testing.T) {
 // reference.
 func diffWords(m, other *Image) []Addr {
 	var out []Addr
-	n := min(len(m.words), len(other.words))
-	for i := 0; i < n; i++ {
-		if m.words[i] != other.words[i] {
-			out = append(out, Addr(i))
+	n := min(m.Size(), other.Size())
+	for a := Addr(0); a < n; a++ {
+		if m.Load(a) != other.Load(a) {
+			out = append(out, a)
 		}
 	}
-	for i := n; i < max(len(m.words), len(other.words)); i++ {
-		out = append(out, Addr(i))
+	for a := n; a < max(m.Size(), other.Size()); a++ {
+		out = append(out, a)
 	}
 	return out
 }
@@ -153,15 +153,15 @@ func TestDiffMatchesWordLoop(t *testing.T) {
 	sizes := []uint32{0, 1, 255, 256, 257, 1000, 1 << 16}
 	for _, size := range sizes {
 		a, b := NewImage(size), NewImage(size)
-		for i := range a.words {
-			a.words[i] = Word(i)
-			b.words[i] = Word(i)
+		for i := Addr(0); i < size; i++ {
+			a.Store(i, Word(i))
+			b.Store(i, Word(i))
 		}
 		// Differences at the first word, on both sides of the first and
-		// the last block edge, and in the tail after the last full block.
+		// the last page edge, and in the tail after the last full page.
 		// Spots past the end (or wrapped below zero) are skipped.
-		tail := size / diffBlock * diffBlock
-		for _, spot := range []uint32{0, diffBlock - 1, diffBlock, tail - 1, tail, size - 1} {
+		tail := size / pageWords * pageWords
+		for _, spot := range []uint32{0, pageWords - 1, pageWords, tail - 1, tail, size - 1} {
 			if spot >= size {
 				continue
 			}
@@ -186,6 +186,26 @@ func TestDiffMatchesWordLoop(t *testing.T) {
 	}
 }
 
+func TestLoadStorePanicOutOfRange(t *testing.T) {
+	// 257 words: the second page exists, but only its first word is in
+	// the image.
+	m := NewImage(257)
+	m.Store(256, 1)
+	for name, f := range map[string]func(){
+		"load":  func() { m.Load(257) },
+		"store": func() { m.Store(300, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s past the size did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestSparse(t *testing.T) {
 	m := NewImage(1000)
 	m.Store(0, 5)
@@ -199,7 +219,7 @@ func TestSparse(t *testing.T) {
 		t.Errorf("set words load as %d, %d", s.Load(256), s.Load(999))
 	}
 	if s.Load(1) != 0 || s.Load(998) != 0 {
-		t.Error("unset word over a nil base is not zero")
+		t.Error("unset word is not zero")
 	}
 	if d := s.Image().Diff(m); len(d) != 0 {
 		t.Errorf("Image differs from the image SparseOf read at %v", d)
@@ -210,26 +230,5 @@ func TestSparse(t *testing.T) {
 	}
 	if !slices.Equal(addrs, []Addr{0, 256, 999}) {
 		t.Errorf("All yields %v", addrs)
-	}
-
-	over := Over(m)
-	if d := over.Image().Diff(m); len(d) != 0 || over.Len() != 0 {
-		t.Errorf("empty overlay differs from its base at %v", d)
-	}
-	over.Set(0, 0)
-	over.Set(10, 7)
-	if over.Load(0) != 0 || over.Load(10) != 7 {
-		t.Error("set words do not shadow the base")
-	}
-	if over.Load(256) != -3 || over.Load(11) != 0 {
-		t.Error("unset word over a real base does not read the base")
-	}
-	img := over.Image()
-	if d := img.Diff(m); !slices.Equal(d, []Addr{0, 10}) {
-		t.Errorf("overlay image differs from its base at %v", d)
-	}
-	img.Store(256, 1)
-	if m.Load(256) != -3 {
-		t.Error("Image shares storage with the base")
 	}
 }

@@ -5,15 +5,14 @@ import (
 	"slices"
 )
 
-// Sparse is a memory image held as the words that differ from a base: a
-// size, a base image (nil reads as all zeros), and the words set over the
-// base in increasing address order. It is the form of an image that
-// nothing writes — a checkpoint, a suffix's pre-state — and Image turns
-// it into the flat form the VM writes to. The base is shared, not copied:
-// it must not change while the sparse image is in use.
+// Sparse is a memory image held as its nonzero words: a size and the
+// words set over zeros, in increasing address order. It is the form a
+// checkpoint keeps and RESCKPT1 carries, as address and value pairs. Its
+// allocation follows the words set, not its size, so a ring that claims
+// a huge image costs only the pairs it sends. Image turns it into the
+// paged form the VM writes to.
 type Sparse struct {
 	size  uint32
-	base  *Image
 	addrs []Addr
 	vals  []Word
 }
@@ -22,16 +21,18 @@ type Sparse struct {
 // words set.
 func NewSparse(size uint32) *Sparse { return &Sparse{size: size} }
 
-// Over returns a sparse image that reads as base until words are set
-// over it.
-func Over(base *Image) *Sparse { return &Sparse{size: base.Size(), base: base} }
-
-// SparseOf returns the nonzero words of m over an all-zero base.
+// SparseOf returns the nonzero words of m. It skips the zero page
+// without reading it.
 func SparseOf(m *Image) *Sparse {
-	s := NewSparse(m.Size())
-	for a, w := range m.words {
-		if w != 0 {
-			s.Set(Addr(a), w)
+	s := NewSparse(m.size)
+	for i, p := range m.pages {
+		if p == &zeroPage {
+			continue
+		}
+		for j, w := range p {
+			if w != 0 {
+				s.Set(Addr(i<<pageShift+j), w)
+			}
 		}
 	}
 	return s
@@ -53,21 +54,19 @@ func (s *Sparse) Size() uint32 { return s.size }
 // InRange reports whether addr is a valid address.
 func (s *Sparse) InRange(addr Addr) bool { return addr < s.size }
 
-// Load returns the word at addr, which must be in range.
+// Load returns the word at addr, which must be in range: the word set
+// there, or zero.
 func (s *Sparse) Load(addr Addr) Word {
 	if i, ok := slices.BinarySearch(s.addrs, addr); ok {
 		return s.vals[i]
 	}
-	if s.base == nil {
-		return 0
-	}
-	return s.base.Load(addr)
+	return 0
 }
 
-// Len returns the number of words set over the base.
+// Len returns the number of words set.
 func (s *Sparse) Len() int { return len(s.addrs) }
 
-// All yields the words set over the base, in increasing address order.
+// All yields the words set, in increasing address order.
 func (s *Sparse) All() iter.Seq2[Addr, Word] {
 	return func(yield func(Addr, Word) bool) {
 		for i, a := range s.addrs {
@@ -78,16 +77,12 @@ func (s *Sparse) All() iter.Seq2[Addr, Word] {
 	}
 }
 
-// Image returns a fresh flat copy of the image.
+// Image returns a fresh paged copy of the image, which allocates only
+// the pages that hold a set word.
 func (s *Sparse) Image() *Image {
-	var img *Image
-	if s.base != nil {
-		img = s.base.Clone()
-	} else {
-		img = NewImage(s.size)
-	}
+	img := NewImage(s.size)
 	for i, a := range s.addrs {
-		img.words[a] = s.vals[i]
+		img.Store(a, s.vals[i])
 	}
 	return img
 }

@@ -50,10 +50,13 @@ type Config struct {
 }
 
 // New builds the replay VM for a synthesized suffix without running it;
-// the debugger drives it step by step.
+// the debugger drives it step by step. The VM runs on a Clone of the
+// pre-state, which copies only the pages the pre-state owns and shares
+// the dump's: the checked replay and its heap-fault fallback both start
+// from the same pre-state, and a replay pays for the pages it writes.
 func New(p *prog.Program, syn *core.Synthesized, cfg Config) (*vm.VM, error) {
 	st := vm.State{
-		Mem:      syn.PreMem.Image(),
+		Mem:      syn.PreMem.Clone(),
 		Locks:    syn.PreLocks,
 		Heap:     syn.PreHeap,
 		HeapNext: syn.PreHeapNext,

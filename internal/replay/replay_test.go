@@ -6,7 +6,6 @@ import (
 	"res/internal/asm"
 	"res/internal/core"
 	"res/internal/coredump"
-	"res/internal/mem"
 	"res/internal/prog"
 	"res/internal/replay"
 	"res/internal/vm"
@@ -14,7 +13,7 @@ import (
 )
 
 // synthesize runs a program to failure and synthesizes its deepest suffix.
-func synthesize(t *testing.T, src string, cfg vm.Config, maxDepth int) (*prog.Program, *coredump.Dump, *core.Synthesized) {
+func synthesize(t testing.TB, src string, cfg vm.Config, maxDepth int) (*prog.Program, *coredump.Dump, *core.Synthesized) {
 	t.Helper()
 	p := asm.MustAssemble(src)
 	v, err := vm.New(p, cfg)
@@ -92,9 +91,9 @@ func TestReplayDetectsCorruptedPreImage(t *testing.T) {
 	// Corrupt the pre-image: the replay must diverge or mismatch, never
 	// silently "match".
 	addr, _ := p.GlobalAddr("g")
-	img := syn.PreMem.Image()
+	img := syn.PreMem.Clone()
 	img.Store(addr, 12345)
-	syn.PreMem = mem.SparseOf(img)
+	syn.PreMem = img
 	rr, err := replay.Run(p, syn, d, replay.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -503,19 +503,21 @@ func (s *Snapshot) Fingerprint() uint64 {
 }
 
 // ConcretizeMem materializes the snapshot's memory under a model: every
-// overlaid expression evaluated, set over the base image, which the
-// result shares. Expressions that fail to evaluate (division by zero
-// under the model) resolve to zero — they are unconstrained by definition
-// or the model would not have validated.
-func (s *Snapshot) ConcretizeMem(m symx.Model) *mem.Sparse {
-	img := mem.Over(s.Base)
+// overlaid expression evaluated and stored into a View of the base image.
+// The result shares every page of the base it does not write, so it
+// costs the pages the overlay touches; the base must not change while it
+// is in use. Expressions that fail to evaluate (division by zero under
+// the model) resolve to zero — they are unconstrained by definition or
+// the model would not have validated.
+func (s *Snapshot) ConcretizeMem(m symx.Model) *mem.Image {
+	img := s.Base.View()
 	s.ForEachMem(func(a uint32, e *symx.Expr) {
 		v, ok := e.Eval(m)
 		if !ok {
 			v = 0
 		}
 		if img.InRange(a) {
-			img.Set(a, v)
+			img.Store(a, v)
 		}
 	})
 	return img

@@ -220,8 +220,9 @@ type State struct {
 }
 
 // NewFromState creates a VM resuming from an arbitrary machine state. The
-// VM takes ownership of st.Mem and writes to it: pass an image nothing
-// else holds.
+// VM takes st.Mem and writes to it: pass an image nothing else writes,
+// such as a Clone, which copies a shared page only when the VM first
+// writes it.
 func NewFromState(p *prog.Program, cfg Config, st State) (*VM, error) {
 	if st.Mem == nil {
 		return nil, fmt.Errorf("vm: state has no memory image")
