@@ -10,11 +10,18 @@
 // to be diffed by tooling, not eyeballed out of ad-hoc text.
 //
 // Usage: go test -bench . -count 5 | go run ./tools/bench2json > BENCH_prN.json
+//
+// With -compare, it reads two such artifacts instead and prints, for
+// every benchmark and unit both hold, the two medians, their ratio, and
+// whether the change is above the noise (see compare):
+//
+//	go run ./tools/bench2json -compare old.json new.json
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -46,6 +53,19 @@ type Artifact struct {
 }
 
 func main() {
+	cmp := flag.Bool("compare", false, "compare two artifacts: -compare old.json new.json")
+	flag.Parse()
+	if *cmp {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "usage: bench2json -compare old.json new.json")
+			os.Exit(2)
+		}
+		if err := compareFiles(os.Stdout, flag.Arg(0), flag.Arg(1)); err != nil {
+			fmt.Fprintln(os.Stderr, "bench2json:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	art, err := convert(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench2json:", err)

@@ -58,3 +58,52 @@ func TestConvertRejectsEmptyInput(t *testing.T) {
 		t.Error("input without result lines accepted")
 	}
 }
+
+// One benchmark whose runs overlap across the two sides, one whose runs
+// are disjoint, one with too few runs to call, and one on each side
+// only: only the disjoint unit is called, and the one-sided results are
+// listed as such.
+func TestCompare(t *testing.T) {
+	old := &Artifact{Results: []Result{
+		{Pkg: "res", Name: "BenchmarkOverlap-2", N: 5, NsPerOp: 100,
+			Min: map[string]float64{"ns/op": 90}, Max: map[string]float64{"ns/op": 120}},
+		{Pkg: "res", Name: "BenchmarkDisjoint-2", N: 5, NsPerOp: 400, Metrics: map[string]float64{"B/op": 1000},
+			Min: map[string]float64{"ns/op": 380, "B/op": 1000}, Max: map[string]float64{"ns/op": 450, "B/op": 1000}},
+		{Pkg: "res", Name: "BenchmarkFew-2", N: 1, NsPerOp: 100,
+			Min: map[string]float64{"ns/op": 100}, Max: map[string]float64{"ns/op": 100}},
+		{Pkg: "res", Name: "BenchmarkGone-2", N: 5, NsPerOp: 1},
+	}}
+	cur := &Artifact{Results: []Result{
+		{Pkg: "res", Name: "BenchmarkOverlap-2", N: 5, NsPerOp: 110,
+			Min: map[string]float64{"ns/op": 115}, Max: map[string]float64{"ns/op": 130}},
+		{Pkg: "res", Name: "BenchmarkDisjoint-2", N: 3, NsPerOp: 200, Metrics: map[string]float64{"B/op": 10},
+			Min: map[string]float64{"ns/op": 190, "B/op": 10}, Max: map[string]float64{"ns/op": 210, "B/op": 10}},
+		{Pkg: "res", Name: "BenchmarkFew-2", N: 5, NsPerOp: 10,
+			Min: map[string]float64{"ns/op": 9}, Max: map[string]float64{"ns/op": 11}},
+		{Pkg: "res", Name: "BenchmarkNew-2", N: 5, NsPerOp: 1},
+	}}
+	var out strings.Builder
+	if err := compare(&out, old, cur); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n")[1:] {
+		rows = append(rows, strings.Fields(line))
+	}
+	want := [][]string{
+		{"B/op", "res", "BenchmarkDisjoint-2", "1000", "10", "0.010", "lower"},
+		{"ns/op", "res", "BenchmarkOverlap-2", "100", "110", "1.100", "overlap"},
+		{"ns/op", "res", "BenchmarkDisjoint-2", "400", "200", "0.500", "lower"},
+		{"ns/op", "res", "BenchmarkFew-2", "100", "10", "0.100", "n<3"},
+		{"only", "in", "old:", "res", "BenchmarkGone-2"},
+		{"only", "in", "new:", "res", "BenchmarkNew-2"},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("compare printed %d rows, want %d:\n%s", len(rows), len(want), out.String())
+	}
+	for i := range want {
+		if strings.Join(rows[i], " ") != strings.Join(want[i], " ") {
+			t.Errorf("row %d = %q, want %q", i, rows[i], want[i])
+		}
+	}
+}
