@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"res"
 	"res/internal/checkpoint"
+	"res/internal/coredump"
 	"res/internal/evidence"
 	"res/internal/service"
 	"res/internal/workload"
@@ -78,12 +80,36 @@ func TestClusterMetricsFederation(t *testing.T) {
 	for k := 4; k <= 24; k++ {
 		candidates = append(candidates, workload.DistanceChain(k))
 	}
+	// Node 1's program ships a checkpoint ring, and the test asserts that
+	// its analysis is anchored. So it is picked only among programs whose
+	// recorded Every: 16 ring anchors a library analysis under the nodes'
+	// analysis config: a one-block run (UseAfterFree) has no
+	// anchor-eligible checkpoint, and its unanchored analysis is correct.
 	var bugs [2]*workload.Bug
+	var dB *coredump.Dump
+	var ringB *checkpoint.Ring
 	for _, bug := range candidates {
 		i := ownerOf(bug)
-		if bugs[i] == nil {
-			bugs[i] = bug
+		if bugs[i] != nil {
+			continue
 		}
+		if i == 1 {
+			d, ring, _, err := bug.FindFailureCheckpointed(60, checkpoint.Config{Every: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := res.NewAnalyzer(bug.Program(), res.WithMaxDepth(testAnalysis.MaxDepth),
+				res.WithMaxNodes(testAnalysis.MaxNodes), res.WithCheckpoints(ring))
+			r, err := a.Analyze(context.Background(), d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.CheckpointAnchor == nil {
+				continue
+			}
+			dB, ringB = d, ring
+		}
+		bugs[i] = bug
 		if bugs[0] != nil && bugs[1] != nil {
 			break
 		}
@@ -112,10 +138,6 @@ func TestClusterMetricsFederation(t *testing.T) {
 	}
 
 	// Node 1's program ships WITH A CHECKPOINT RING, submitted via node 0.
-	dB, ringB, _, err := bugs[1].FindFailureCheckpointed(60, checkpoint.Config{Every: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dumpB, err := dB.Marshal()
 	if err != nil {
 		t.Fatal(err)
