@@ -10,6 +10,7 @@ package triage
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"res/internal/coredump"
@@ -99,7 +100,11 @@ type Evaluation struct {
 	Items   int
 	Buckets int
 	// Pairwise clustering metrics over all report pairs: a pair is
-	// positive when both reports come from the same bug.
+	// positive when both reports come from the same bug. A score whose
+	// denominator is zero is undefined and holds NaN, which String
+	// prints as n/a: precision when no pair shares a bucket, recall when
+	// no pair shares a bug, and F1 when neither holds (a corpus of one
+	// report, or of distinct bugs in distinct buckets).
 	Precision, Recall, F1 float64
 	// OverSplit counts bugs spread across more than one bucket (the
 	// "same exploit, many buckets" failure of §3.1).
@@ -112,8 +117,24 @@ type Evaluation struct {
 }
 
 func (e Evaluation) String() string {
-	return fmt.Sprintf("items=%d buckets=%d precision=%.2f recall=%.2f f1=%.2f oversplit=%d collisions=%d",
-		e.Items, e.Buckets, e.Precision, e.Recall, e.F1, e.OverSplit, e.Collisions)
+	return fmt.Sprintf("items=%d buckets=%d precision=%s recall=%s f1=%s oversplit=%d collisions=%d",
+		e.Items, e.Buckets, score(e.Precision), score(e.Recall), score(e.F1), e.OverSplit, e.Collisions)
+}
+
+// score formats a pairwise score: two decimals, or n/a when undefined.
+func score(v float64) string {
+	if math.IsNaN(v) {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.2f", v)
+}
+
+// ratio is num/den, or NaN (undefined) when den is zero.
+func ratio(num, den float64) float64 {
+	if den == 0 {
+		return math.NaN()
+	}
+	return num / den
 }
 
 // Evaluate buckets the corpus with the classifier and scores the result.
@@ -148,15 +169,11 @@ func Evaluate(corpus []Item, classify Classifier) Evaluation {
 			}
 		}
 	}
-	if tp+fp > 0 {
-		ev.Precision = tp / (tp + fp)
-	}
-	if tp+fn > 0 {
-		ev.Recall = tp / (tp + fn)
-	}
-	if ev.Precision+ev.Recall > 0 {
-		ev.F1 = 2 * ev.Precision * ev.Recall / (ev.Precision + ev.Recall)
-	}
+	// F1 is the harmonic mean of precision and recall, in the form that
+	// stays defined when only one of them is.
+	ev.Precision = ratio(tp, tp+fp)
+	ev.Recall = ratio(tp, tp+fn)
+	ev.F1 = ratio(2*tp, 2*tp+fp+fn)
 
 	// Over-splits and collisions.
 	bugBuckets := make(map[string]map[string]bool)

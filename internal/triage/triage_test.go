@@ -3,6 +3,8 @@ package triage_test
 import (
 	"context"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"res"
@@ -150,6 +152,35 @@ func TestEvaluateMetrics(t *testing.T) {
 	ev = triage.Evaluate(items, perfect)
 	if ev.F1 != 1 || ev.Collisions != 0 || ev.OverSplit != 0 {
 		t.Errorf("perfect ev = %+v", ev)
+	}
+}
+
+// TestEvaluateUnscorable: a corpus with no pair in a common bucket and
+// no pair of one bug leaves every pairwise score undefined, and String
+// says n/a rather than a score of zero.
+func TestEvaluateUnscorable(t *testing.T) {
+	perfect := func(it triage.Item) (string, error) { return it.Label, nil }
+	for name, items := range map[string][]triage.Item{
+		"one item":                  {{Label: "A"}},
+		"two labels in two buckets": {{Label: "A"}, {Label: "B"}},
+	} {
+		ev := triage.Evaluate(items, perfect)
+		if !math.IsNaN(ev.Precision) || !math.IsNaN(ev.Recall) || !math.IsNaN(ev.F1) {
+			t.Errorf("%s: precision=%v recall=%v f1=%v, want all undefined", name, ev.Precision, ev.Recall, ev.F1)
+		}
+		if s := ev.String(); !strings.Contains(s, "precision=n/a recall=n/a f1=n/a") {
+			t.Errorf("%s: %q does not print the scores as n/a", name, s)
+		}
+	}
+	// One score undefined, the other defined: two bugs merged into one
+	// bucket have a precision (0) but no recall; F1 is 0.
+	ev := triage.Evaluate([]triage.Item{{Label: "A"}, {Label: "B"}},
+		func(triage.Item) (string, error) { return "one", nil })
+	if ev.Precision != 0 || !math.IsNaN(ev.Recall) || ev.F1 != 0 {
+		t.Errorf("merged pair: precision=%v recall=%v f1=%v, want 0, undefined, 0", ev.Precision, ev.Recall, ev.F1)
+	}
+	if s := ev.String(); !strings.Contains(s, "precision=0.00 recall=n/a f1=0.00") {
+		t.Errorf("merged pair prints %q", s)
 	}
 }
 
