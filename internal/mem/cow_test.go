@@ -37,12 +37,17 @@ func TestCloneSidesAreIndependent(t *testing.T) {
 	base := baseImage(1000)
 	m := base.View()
 	m.Store(1, 11)
+	m.Store(700, 55)
 	c := m.Clone()
 	c.Store(1, 22)
+	c.Store(701, 66)
 	c.Store(300, 33)
 	m.Store(600, 44)
-	if m.Load(1) != 11 || m.Load(300) != 0 || c.Load(1) != 22 || c.Load(600) != 0 {
-		t.Errorf("a write reached the other side: m %d %d, clone %d %d", m.Load(1), m.Load(300), c.Load(1), c.Load(600))
+	if m.Load(1) != 11 || m.Load(300) != 0 || m.Load(701) != 0 || c.Load(1) != 22 || c.Load(600) != 0 {
+		t.Errorf("a write reached the other side: m %d %d %d, clone %d %d", m.Load(1), m.Load(300), m.Load(701), c.Load(1), c.Load(600))
+	}
+	if c.Load(700) != 55 || c.Load(701) != 66 || m.Load(700) != 55 {
+		t.Errorf("clone's copied pages read %d, %d", c.Load(700), c.Load(701))
 	}
 	if base.Load(300) != 0 || base.Load(600) != 0 || base.Load(1) != 0 {
 		t.Error("a write reached the base")

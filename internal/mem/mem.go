@@ -10,15 +10,17 @@
 // costs its page table plus the pages it writes, and Diff, Encode and
 // SparseOf skip shared and zero pages without reading them.
 //
-// The sharing contract: an image whose pages another image shares (the
-// base of a View) must not change while that image is in use. The bases
-// are a decoded dump's image and the zero page, and nothing writes either
-// after it is built. The writers are the VM on its own image, hwerr on a
-// Clone of a dump, vm.New setting globals and DecodeImage building its
-// result.
+// The sharing contract: the base of a View must not change while the
+// view, or any Clone of it, is in use. The bases are a decoded dump's
+// image and the zero page, and nothing writes either after it is built.
+// Past the code that builds an image (vm.New setting globals,
+// DecodeImage, Sparse.Image, ConcretizeMem storing a suffix's words into
+// its view), the only writers are the VM on its own image and hwerr on a
+// Clone of a dump.
 package mem
 
 import (
+	"math/bits"
 	"slices"
 
 	"res/internal/wire"
@@ -43,6 +45,8 @@ type page = [pageWords]Word
 // zeroPage is every page no image has written. Store never writes it: a
 // page an image does not own is copied first.
 var zeroPage page
+
+const errOutOfRange = "mem: address out of range"
 
 // Image is a memory of 64-bit words, held as a table of pages. The last
 // page may reach past the image's size; its words there stay zero.
@@ -98,8 +102,6 @@ func (m *Image) Store(addr Addr, v Word) {
 	m.pages[i][addr&pageMask] = v
 }
 
-const errOutOfRange = "mem: address out of range"
-
 func (m *Image) owns(i int) bool { return m.owned[i/64]&(1<<(i%64)) != 0 }
 
 // own replaces page i with a copy the image owns.
@@ -113,14 +115,19 @@ func (m *Image) own(i int) {
 }
 
 // Clone returns an independent copy of the image: it copies the pages m
-// owns and shares the rest, which nothing writes.
+// owns, into one allocation, and shares the rest, which nothing writes.
 func (m *Image) Clone() *Image {
 	c := &Image{size: m.size, pages: slices.Clone(m.pages), owned: slices.Clone(m.owned)}
+	n := 0
+	for _, w := range m.owned {
+		n += bits.OnesCount64(w)
+	}
+	copies := make([]page, n)
 	for i, p := range c.pages {
 		if m.owns(i) {
-			np := new(page)
-			*np = *p
-			c.pages[i] = np
+			copies[0] = *p
+			c.pages[i] = &copies[0]
+			copies = copies[1:]
 		}
 	}
 	return c
