@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"res/internal/coredump"
 	"res/internal/isa"
@@ -47,9 +48,8 @@ func (e *Engine) Concretize(n *Node, d *coredump.Dump) (*Synthesized, error) {
 	if res.Verdict != solver.Sat {
 		return nil, fmt.Errorf("core: node constraints not solvable: %v (%s)", res.Verdict, res.Reason)
 	}
-	model := res.Model
+	model := res.Model()
 
-	steps := n.Steps()
 	suffix := &trace.Suffix{
 		EndPC:    d.Fault.PC,
 		StartPCs: make(map[int]int),
@@ -59,7 +59,9 @@ func (e *Engine) Concretize(n *Node, d *coredump.Dump) (*Synthesized, error) {
 	}
 	readSet := make(map[uint32]bool)
 	writeSet := make(map[uint32]bool)
-	for _, s := range steps {
+	// Walking up from n visits the steps oldest first (see Steps).
+	for cur := n; cur.Parent != nil; cur = cur.Parent {
+		s := &cur.Step
 		suffix.Steps = append(suffix.Steps, trace.Step{Tid: s.Tid, Block: s.Block})
 		for _, iu := range s.Inputs {
 			suffix.Inputs = append(suffix.Inputs, trace.InputRec{
@@ -105,17 +107,9 @@ func (e *Engine) Concretize(n *Node, d *coredump.Dump) (*Synthesized, error) {
 	for a := range writeSet {
 		syn.WriteSet = append(syn.WriteSet, a)
 	}
-	sortU32(syn.ReadSet)
-	sortU32(syn.WriteSet)
+	slices.Sort(syn.ReadSet)
+	slices.Sort(syn.WriteSet)
 	return syn, nil
-}
-
-func sortU32(s []uint32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Describe renders a synthesized suffix for human consumption.

@@ -12,10 +12,18 @@
 // completion. Verdicts are three-valued; Unsat and Sat are sound (Sat
 // verdicts always carry a model that has been checked against the
 // original constraints), Unknown is the honest fallback.
+//
+// A Result costs what its reader reads. Result.Forced is the solved
+// state's own binding map, shared with the Session that Extend returns,
+// so it is read-only. The model is resolved on demand: Result.Eval
+// resolves only the variables of one expression, Result.Model builds the
+// whole assignment, and the Sat recheck resolves the variables of the
+// constraints it checks, all by one rule and to the same values.
 package solver
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strings"
@@ -81,7 +89,11 @@ func (c Constraint) Holds(m symx.Model) (bool, bool) {
 	if !ok {
 		return false, false
 	}
-	switch c.Rel {
+	return relHolds(c.Rel, a, b)
+}
+
+func relHolds(rel Rel, a, b int64) (bool, bool) {
+	switch rel {
 	case RelEq:
 		return a == b, true
 	case RelNe:
@@ -147,17 +159,44 @@ func DefaultOptions() Options {
 // Result carries the verdict, a model when Sat, and effort statistics.
 type Result struct {
 	Verdict Verdict
-	Model   symx.Model
 	// Forced holds the variable assignments that are logical consequences
 	// of the constraint set (derived by propagation, not search). Unlike
-	// Model entries, these hold in EVERY satisfying assignment, so callers
+	// model values, these hold in EVERY satisfying assignment, so callers
 	// may substitute them without losing solutions. Populated for Sat and
-	// Unknown verdicts.
+	// Unknown verdicts. It is the checked state's own map, shared with the
+	// session Extend returns: read it, never write it.
 	Forced map[symx.Var]int64
+	// NewlyForced lists the variables of Forced that this check bound, in
+	// the order propagation bound them: for a Session check, the ones its
+	// base did not already bind; for Check, all of them.
+	NewlyForced []symx.Var
 	// Stats
 	PropagationRounds int
 	ModelsTried       int
 	Reason            string // human-readable explanation for Unsat/Unknown
+
+	model *model // the Sat assignment, resolved where it is read
+}
+
+// Model returns the satisfying assignment of a Sat result, nil otherwise.
+// It is built on each call; a caller that reads a few values should use
+// Eval, which resolves only the variables it needs to the same values.
+func (r Result) Model() symx.Model {
+	if r.model == nil {
+		return nil
+	}
+	return r.model.full()
+}
+
+// Eval evaluates e under the satisfying assignment (a variable it does
+// not assign reads 0), resolving only the variables e mentions. ok is
+// false when the verdict is not Sat or the evaluation divides by zero.
+func (r Result) Eval(e *symx.Expr) (int64, bool) {
+	if r.model == nil {
+		return 0, false
+	}
+	rv := resolver{m: r.model}
+	return rv.eval(e, -1)
 }
 
 // normalize fills zero option fields with the package defaults.
@@ -185,7 +224,6 @@ func Check(cs []Constraint, opt Options) Result {
 	s := &state{
 		opt:       opt.normalize(),
 		bindings:  make(map[symx.Var]int64),
-		defs:      nil,
 		intervals: make(map[symx.Var]interval),
 	}
 	for _, c := range cs {
@@ -205,18 +243,17 @@ func Check(cs []Constraint, opt Options) Result {
 // constraints hold by construction under the bindings the model carries).
 func finishResult(s *state, res Result, recheck []Constraint) Result {
 	if res.Verdict != Unsat {
-		res.Forced = make(map[symx.Var]int64, len(s.bindings))
-		for v, c := range s.bindings {
-			res.Forced[v] = c
-		}
+		res.Forced = s.bindings
+		res.NewlyForced = s.fresh
 	}
 	if res.Verdict == Sat {
+		rv := resolver{m: res.model}
 		for _, c := range recheck {
-			ok, def := c.Holds(res.Model)
+			ok, def := rv.holds(c)
 			if !def || !ok {
 				res.Verdict = Unknown
 				res.Reason = fmt.Sprintf("model failed recheck on %s", c)
-				res.Model = nil
+				res.model = nil
 				break
 			}
 		}
@@ -228,20 +265,13 @@ func finishResult(s *state, res Result, recheck []Constraint) Result {
 // residual pending constraints) so a child solve can extend it without
 // touching the parent. Search bookkeeping starts fresh.
 func (s *state) clone() *state {
-	ns := &state{
+	return &state{
 		opt:       s.opt,
 		pending:   append([]Constraint(nil), s.pending...),
-		bindings:  make(map[symx.Var]int64, len(s.bindings)),
-		defs:      append([]def(nil), s.defs...),
-		intervals: make(map[symx.Var]interval, len(s.intervals)),
+		bindings:  maps.Clone(s.bindings),
+		defs:      maps.Clone(s.defs),
+		intervals: maps.Clone(s.intervals),
 	}
-	for v, c := range s.bindings {
-		ns.bindings[v] = c
-	}
-	for v, iv := range s.intervals {
-		ns.intervals[v] = iv
-	}
-	return ns
 }
 
 // Session is the incremental-solving entry point: it snapshots the
@@ -339,19 +369,24 @@ func (iv interval) singleton() (int64, bool) {
 	return 0, false
 }
 
+// def is a variable definition x := e (e not ground yet). idx is its place
+// in definition order, which model resolution reads.
 type def struct {
-	v symx.Var
-	e *symx.Expr
+	e   *symx.Expr
+	idx int
 }
 
 type state struct {
 	opt       Options
 	pending   []Constraint
 	bindings  map[symx.Var]int64 // concrete assignments discovered
-	defs      []def              // variable definitions x := e (e not ground yet)
+	defs      map[symx.Var]def   // at most one definition per variable; nil until the first
 	intervals map[symx.Var]interval
-	rounds    int
-	tried     int
+	// fresh lists the variables this solve bound that the state it was
+	// cloned from (if any) did not, in binding order.
+	fresh  []symx.Var
+	rounds int
+	tried  int
 	// enumComplete is set when enumeration walked the full candidate
 	// lattice without finding a model.
 	enumComplete bool
@@ -377,15 +412,15 @@ func (s *state) solve() Result {
 	}
 	// All constraints discharged by propagation?
 	if len(s.pending) == 0 {
-		return Result{Verdict: Sat, Model: s.buildModel(nil), PropagationRounds: s.rounds}
+		return Result{Verdict: Sat, model: s.model(nil), PropagationRounds: s.rounds}
 	}
 	// Search phase over the residual constraints.
 	vars := s.residualVars()
 	if m, ok := s.enumerate(vars); ok {
-		return Result{Verdict: Sat, Model: s.buildModel(m), PropagationRounds: s.rounds, ModelsTried: s.tried}
+		return Result{Verdict: Sat, model: s.model(m), PropagationRounds: s.rounds, ModelsTried: s.tried}
 	}
 	if m, ok := s.randomized(vars); ok {
-		return Result{Verdict: Sat, Model: s.buildModel(m), PropagationRounds: s.rounds, ModelsTried: s.tried}
+		return Result{Verdict: Sat, model: s.model(m), PropagationRounds: s.rounds, ModelsTried: s.tried}
 	}
 	if s.interrupted {
 		return Result{Verdict: Unknown, Reason: "interrupted", PropagationRounds: s.rounds, ModelsTried: s.tried}
@@ -643,24 +678,23 @@ func (s *state) bindOrDefine(v symx.Var, e *symx.Expr) (stepStatus, []Constraint
 			}
 			return stepDischarged, nil, ""
 		}
-		s.bindings[v] = c
+		s.bind(v, c)
 		return stepDischarged, nil, ""
 	}
-	vars := make(map[symx.Var]bool)
-	e.Vars(vars)
-	if vars[v] {
+	if s.occurs(v, e) {
 		// v == f(v): keep for search; may still be satisfiable (v == v+0
 		// already simplified away).
 		return stepKeep, nil, ""
 	}
 	// Avoid duplicate definitions for the same variable: keep the first,
 	// and turn the rest into equations between the definitions.
-	for _, d := range s.defs {
-		if d.v == v {
-			return stepRewritten, []Constraint{Eq(d.e, e)}, ""
-		}
+	if d, ok := s.defs[v]; ok {
+		return stepRewritten, []Constraint{Eq(d.e, e)}, ""
 	}
-	s.defs = append(s.defs, def{v: v, e: e})
+	if s.defs == nil {
+		s.defs = make(map[symx.Var]def)
+	}
+	s.defs[v] = def{e: e, idx: len(s.defs)}
 	// Transfer v's narrowed interval onto the definition: substitution
 	// erases v from the system, so without this v ∈ [lo,hi] (knowledge
 	// discharged from earlier order constraints) would be lost and a
@@ -678,6 +712,41 @@ func (s *state) bindOrDefine(v symx.Var, e *symx.Expr) (stepStatus, []Constraint
 		}
 	}
 	return stepDischarged, nil, ""
+}
+
+// occurs reports whether v occurs in e: written in it, or mentioned by a
+// definition that e's variables reach. Defining v := e in either case
+// would close a cycle of definitions, which substitution would unroll one
+// level per propagation round without end.
+func (s *state) occurs(v symx.Var, e *symx.Expr) bool {
+	var seen map[symx.Var]bool
+	return s.reaches(v, e, &seen)
+}
+
+// reaches is occurs over the definitions not yet in *seen.
+func (s *state) reaches(v symx.Var, e *symx.Expr, seen *map[symx.Var]bool) bool {
+	return e.AnyVar(func(u symx.Var) bool {
+		if u == v {
+			return true
+		}
+		d, ok := s.defs[u]
+		if !ok || (*seen)[u] {
+			return false
+		}
+		if *seen == nil {
+			*seen = make(map[symx.Var]bool)
+		}
+		(*seen)[u] = true
+		return s.reaches(v, d.e, seen)
+	})
+}
+
+// bind records the binding v = c.
+func (s *state) bind(v symx.Var, c int64) {
+	if _, ok := s.bindings[v]; !ok {
+		s.fresh = append(s.fresh, v)
+	}
+	s.bindings[v] = c
 }
 
 // stepOrder narrows intervals from order constraints with one variable
@@ -735,7 +804,7 @@ func (s *state) narrow(v symx.Var, nv interval) (stepStatus, []Constraint, strin
 		if old, bound := s.bindings[v]; bound && old != c {
 			return stepUnsat, nil, fmt.Sprintf("interval pins v%d to %d but it is bound to %d", uint32(v), c, old)
 		}
-		s.bindings[v] = c
+		s.bind(v, c)
 	}
 	// Check against existing binding.
 	if c, bound := s.bindings[v]; bound {
@@ -748,28 +817,15 @@ func (s *state) narrow(v symx.Var, nv interval) (stepStatus, []Constraint, strin
 
 // substitute applies concrete bindings and definitions to an expression.
 func (s *state) substitute(e *symx.Expr) *symx.Expr {
-	if !e.HasVars() {
-		return e
-	}
-	sub := make(map[symx.Var]*symx.Expr)
-	vars := make(map[symx.Var]bool)
-	e.Vars(vars)
-	for v := range vars {
+	return e.SubstFunc(func(v symx.Var) (*symx.Expr, bool) {
 		if c, ok := s.bindings[v]; ok {
-			sub[v] = symx.Const(c)
-			continue
+			return symx.Const(c), true
 		}
-		for _, d := range s.defs {
-			if d.v == v {
-				sub[v] = d.e
-				break
-			}
+		if d, ok := s.defs[v]; ok {
+			return d.e, true
 		}
-	}
-	if len(sub) == 0 {
-		return e
-	}
-	return e.Subst(sub)
+		return nil, false
+	})
 }
 
 func (s *state) residualVars() []symx.Var {
@@ -1001,55 +1057,117 @@ func (s *state) exhausted(vars []symx.Var) bool {
 	return true
 }
 
-// buildModel combines propagation bindings, definitions and the search
-// model into a full assignment.
-func (s *state) buildModel(search symx.Model) symx.Model {
-	m := make(symx.Model, len(s.bindings)+len(search))
-	for v, c := range s.bindings {
-		m[v] = c
+// model is a Sat verdict's assignment, resolved where it is read. It
+// shares the solved state's bindings and definitions, which nothing
+// writes once the solve has returned.
+//
+// A variable's value is its search value or its propagated binding. A
+// defined variable whose definition's variables all have values this way,
+// directly or through such definitions, is grounded and takes the
+// definition's value. The other definitions are evaluated in definition
+// order, each over the grounded values and the definitions before it, a
+// variable with no value reading 0. A definition that divides by zero
+// leaves its variable without a value. Definitions are acyclic (occurs),
+// so this is well defined.
+type model struct {
+	bindings map[symx.Var]int64
+	search   symx.Model
+	defs     map[symx.Var]def
+}
+
+func (s *state) model(search symx.Model) *model {
+	return &model{bindings: s.bindings, search: search, defs: s.defs}
+}
+
+// full builds the whole assignment.
+func (m *model) full() symx.Model {
+	out := make(symx.Model, len(m.bindings)+len(m.search)+len(m.defs))
+	for v, c := range m.bindings {
+		out[v] = c
 	}
-	for v, c := range search {
-		m[v] = c
+	for v, c := range m.search {
+		out[v] = c
 	}
-	// Resolve definitions; chains are acyclic (occurs check), so at most
-	// len(defs) passes reach a fixpoint, then default remaining to 0.
-	for pass := 0; pass <= len(s.defs); pass++ {
-		progress := false
-		for _, d := range s.defs {
-			if _, done := m[d.v]; done {
-				continue
-			}
-			if val, ok := d.e.Eval(m); ok {
-				// Only accept when all vars of the definition are pinned;
-				// Eval defaults missing vars to 0 which is fine on the
-				// final pass.
-				vars := make(map[symx.Var]bool)
-				d.e.Vars(vars)
-				all := true
-				for v := range vars {
-					if _, has := m[v]; !has {
-						all = false
-						break
-					}
-				}
-				if all || pass == len(s.defs) {
-					m[d.v] = val
-					progress = true
-				}
-			}
-		}
-		if !progress && pass > 0 {
-			break
+	rv := resolver{m: m}
+	for v := range m.defs {
+		if r := rv.value(v); r.set {
+			out[v] = r.val
 		}
 	}
-	for _, d := range s.defs {
-		if _, done := m[d.v]; !done {
-			if val, ok := d.e.Eval(m); ok {
-				m[d.v] = val
+	return out
+}
+
+// resolver reads values from a model, remembering the defined variables
+// it has resolved. It is not safe for concurrent use; Result makes one per
+// read.
+type resolver struct {
+	m    *model
+	memo map[symx.Var]resolved
+}
+
+type resolved struct {
+	val      int64
+	set      bool // the variable has a value (one without reads 0)
+	grounded bool
+}
+
+// value resolves one variable.
+func (r *resolver) value(v symx.Var) resolved {
+	if c, ok := r.m.search[v]; ok {
+		return resolved{val: c, set: true, grounded: true}
+	}
+	if c, ok := r.m.bindings[v]; ok {
+		return resolved{val: c, set: true, grounded: true}
+	}
+	d, ok := r.m.defs[v]
+	if !ok {
+		return resolved{}
+	}
+	if got, ok := r.memo[v]; ok {
+		return got
+	}
+	if r.memo == nil {
+		r.memo = make(map[symx.Var]resolved)
+	}
+	r.memo[v] = resolved{} // what a cycle would read, were there one
+	var out resolved
+	if !d.e.AnyVar(func(u symx.Var) bool { return !r.value(u).grounded }) {
+		if c, ok := r.eval(d.e, -1); ok {
+			out = resolved{val: c, set: true, grounded: true}
+		}
+	} else if c, ok := r.eval(d.e, d.idx); ok {
+		out = resolved{val: c, set: true}
+	}
+	r.memo[v] = out
+	return out
+}
+
+// eval evaluates e. With before >= 0 it evaluates the definition at that
+// place in definition order, reading only the grounded values and the
+// values of the definitions before it.
+func (r *resolver) eval(e *symx.Expr, before int) (int64, bool) {
+	return e.EvalFunc(func(u symx.Var) int64 {
+		got := r.value(u)
+		if !got.grounded && before >= 0 {
+			if d, ok := r.m.defs[u]; !ok || d.idx >= before {
+				return 0
 			}
 		}
+		return got.val
+	})
+}
+
+// holds is Constraint.Holds under the model.
+func (r *resolver) holds(c Constraint) (bool, bool) {
+	a, ok := r.eval(c.L, -1)
+	if !ok {
+		return false, false
 	}
-	return m
+	b, ok := r.eval(c.R, -1)
+	if !ok {
+		return false, false
+	}
+	return relHolds(c.Rel, a, b)
 }
 
 // String renders a constraint set for diagnostics.

@@ -20,19 +20,19 @@ func mustSat(t *testing.T, cs []Constraint) symx.Model {
 		t.Fatalf("verdict = %v (%s), want sat for %s", res.Verdict, res.Reason, String(cs))
 	}
 	for _, c := range cs {
-		ok, def := c.Holds(res.Model)
+		ok, def := c.Holds(res.Model())
 		if !def || !ok {
-			t.Fatalf("model %v violates %s", res.Model, c)
+			t.Fatalf("model %v violates %s", res.Model(), c)
 		}
 	}
-	return res.Model
+	return res.Model()
 }
 
 func mustUnsat(t *testing.T, cs []Constraint) {
 	t.Helper()
 	res := check(t, cs)
 	if res.Verdict != Unsat {
-		t.Fatalf("verdict = %v, want unsat for %s (model %v)", res.Verdict, String(cs), res.Model)
+		t.Fatalf("verdict = %v, want unsat for %s (model %v)", res.Verdict, String(cs), res.Model())
 	}
 }
 
@@ -205,7 +205,7 @@ func TestSelfReferenceUnsatisfiable(t *testing.T) {
 	// never Sat.
 	res := check(t, []Constraint{Eq(symx.VarExpr(x), symx.Binary(symx.OpAdd, symx.VarExpr(x), symx.Const(1)))})
 	if res.Verdict == Sat {
-		t.Fatalf("x == x+1 declared sat with model %v", res.Model)
+		t.Fatalf("x == x+1 declared sat with model %v", res.Model())
 	}
 }
 
@@ -315,10 +315,10 @@ func TestQuickLinearChainsSolved(t *testing.T) {
 		if res.Verdict != Sat {
 			t.Fatalf("trial %d: %v (%s)", trial, res.Verdict, res.Reason)
 		}
-		if res.Model[x] != secret {
+		if res.Model()[x] != secret {
 			// Some chains (xor with overlapping adds) may admit multiple
 			// solutions; verify semantically instead of syntactically.
-			got, _ := e.Eval(res.Model)
+			got, _ := e.Eval(res.Model())
 			if got != want {
 				t.Fatalf("trial %d: model does not reproduce target", trial)
 			}
@@ -355,7 +355,7 @@ func TestQuickSoundness(t *testing.T) {
 		res := check(t, cs)
 		if res.Verdict == Sat {
 			for _, c := range cs {
-				ok, def := c.Holds(res.Model)
+				ok, def := c.Holds(res.Model())
 				if !def || !ok {
 					t.Fatalf("trial %d: sat model violates %s", trial, c)
 				}
@@ -398,7 +398,7 @@ func TestDivisionByZeroNeverSat(t *testing.T) {
 		Eq(symx.Binary(symx.OpDiv, symx.Const(1), symx.VarExpr(x)), symx.Const(1)),
 	})
 	if res.Verdict == Sat {
-		t.Fatalf("division by zero declared sat: %v", res.Model)
+		t.Fatalf("division by zero declared sat: %v", res.Model())
 	}
 }
 
@@ -457,16 +457,16 @@ func TestSessionMatchesCheck(t *testing.T) {
 			}
 			if want.Verdict == Sat {
 				for _, c := range cs {
-					ok, def := c.Holds(res.Model)
+					ok, def := c.Holds(res.Model())
 					if !def || !ok {
 						t.Errorf("system %d split %d: session model violates %s", si, split, c)
 					}
 				}
 				// Verdict parity is required; for these systems the models
 				// must agree exactly (same propagation, same search order).
-				for k, x := range want.Model {
-					if res.Model[k] != x {
-						t.Errorf("system %d split %d: model[%d] = %d, want %d", si, split, k, res.Model[k], x)
+				for k, x := range want.Model() {
+					if res.Model()[k] != x {
+						t.Errorf("system %d split %d: model[%d] = %d, want %d", si, split, k, res.Model()[k], x)
 					}
 				}
 			}
@@ -513,7 +513,7 @@ func TestSessionConcurrentExtend(t *testing.T) {
 			defer wg.Done()
 			delta := []Constraint{Eq(v(1), symx.Binary(symx.OpAdd, v(0), symx.Const(int64(g))))}
 			res := sess.CheckWith(delta, Options{})
-			if res.Verdict != Sat || res.Model[symx.Var(1)] != int64(9+g) {
+			if res.Verdict != Sat || res.Model()[symx.Var(1)] != int64(9+g) {
 				t.Errorf("goroutine %d: %+v", g, res)
 			}
 		}(g)
@@ -543,11 +543,11 @@ func TestDefInheritsInterval(t *testing.T) {
 	// And the satisfiable variant still solves, respecting the interval.
 	okAdd := []Constraint{Eq(v(0), v(1)), Eq(v(1), symx.Const(4))}
 	res := sess.CheckWith(okAdd, Options{})
-	if res.Verdict != Sat || res.Model[symx.Var(0)] != 4 {
-		t.Fatalf("sat variant = %v model=%v", res.Verdict, res.Model)
+	if res.Verdict != Sat || res.Model()[symx.Var(0)] != 4 {
+		t.Fatalf("sat variant = %v model=%v", res.Verdict, res.Model())
 	}
 	for _, c := range append(append([]Constraint(nil), base...), okAdd...) {
-		if ok, def := c.Holds(res.Model); !def || !ok {
+		if ok, def := c.Holds(res.Model()); !def || !ok {
 			t.Fatalf("model violates %s", c)
 		}
 	}

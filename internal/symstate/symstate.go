@@ -10,8 +10,9 @@
 // mutations, lock-table changes) the child itself makes, plus a
 // persistent-append constraint chain. Reads walk the layer chain, whose
 // length is the search depth — so a depth-d node costs O(its own step) to
-// create, not O(accumulated state). Flatten materializes the full view
-// for consumers that want a self-contained snapshot.
+// create, not O(accumulated state). The live thread ids are the exception:
+// each layer holds them, sharing its parent's list until it deletes a
+// thread, because the search reads them several times per step.
 //
 // Each snapshot also maintains an incremental structural fingerprint
 // (built on symx's cached expression hashes) identifying its
@@ -23,6 +24,7 @@ package symstate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"res/internal/coredump"
@@ -83,6 +85,11 @@ type Snapshot struct {
 	locks   map[uint32]int        // lock-table writes made by this layer
 	lockDel map[uint32]bool       // lock-table deletions made by this layer
 
+	// tids holds the live thread ids in ascending order: the parent's
+	// slice, until this layer deletes a thread. Nothing writes a slice in
+	// place once a layer holds it.
+	tids []int
+
 	// cons holds the constraints appended by this layer; the full set is
 	// the chain's concatenation, frozen per layer by parentConsLen.
 	cons          []solver.Constraint
@@ -125,6 +132,10 @@ func FromDump(d *coredump.Dump, heapBase uint32, pool *symx.Pool) *Snapshot {
 		}
 		s.threads[t.ID] = ts
 	}
+	for id := range s.threads {
+		s.tids = append(s.tids, id)
+	}
+	sort.Ints(s.tids)
 	for a, o := range d.Locks {
 		s.locks[a] = o
 	}
@@ -146,6 +157,7 @@ func (s *Snapshot) Clone() *Snapshot {
 		Pool:          s.Pool,
 		Base:          s.Base,
 		parent:        s,
+		tids:          s.tids,
 		Heap:          s.Heap,
 		HeapNext:      s.HeapNext,
 		parentConsLen: len(s.cons),
@@ -156,35 +168,6 @@ func (s *Snapshot) Clone() *Snapshot {
 		memHash:       s.memHash,
 		consHash:      s.consHash,
 	}
-}
-
-// Flatten materializes the full view as a single root-form snapshot with
-// no parent chain: the escape hatch for consumers that want O(1) reads or
-// a snapshot that outlives its ancestry. The flattened snapshot is
-// semantically identical (same fingerprint, same constraint order).
-func (s *Snapshot) Flatten() *Snapshot {
-	ns := &Snapshot{
-		Pool:     s.Pool,
-		Base:     s.Base,
-		mem:      make(map[uint32]*symx.Expr),
-		threads:  make(map[int]*ThreadState),
-		locks:    make(map[uint32]int),
-		cons:     s.Cons(),
-		consLen:  s.consLen,
-		Sess:     s.Sess,
-		sessLen:  s.sessLen,
-		Heap:     append([]coredump.HeapObject(nil), s.Heap...),
-		HeapNext: s.HeapNext,
-		Depth:    s.Depth,
-		memHash:  s.memHash,
-		consHash: s.consHash,
-	}
-	s.ForEachMem(func(a uint32, e *symx.Expr) { ns.mem[a] = e })
-	for _, tid := range s.ThreadIDs() {
-		ns.threads[tid] = s.Thread(tid).Clone()
-	}
-	s.ForEachLock(func(a uint32, owner int) { ns.locks[a] = owner })
-	return ns
 }
 
 // memLookup finds the effective overlay entry for a, walking the chain.
@@ -294,34 +277,21 @@ func (s *Snapshot) DeleteThread(tid int) {
 		s.threads = make(map[int]*ThreadState)
 	}
 	s.threads[tid] = nil
+	if i, live := slices.BinarySearch(s.tids, tid); live {
+		s.tids = slices.Delete(slices.Clone(s.tids), i, i+1)
+	}
 }
 
-// ThreadIDs returns the live thread ids in ascending order.
-func (s *Snapshot) ThreadIDs() []int {
-	seen := make(map[int]bool)
-	var out []int
-	for cur := s; cur != nil; cur = cur.parent {
-		for id, t := range cur.threads {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			if t != nil {
-				out = append(out, id)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
+// ThreadIDs returns the live thread ids in ascending order. The slice is
+// shared with other snapshots: callers must not modify it.
+func (s *Snapshot) ThreadIDs() []int { return s.tids }
 
 // MaxThreadID returns the highest live thread id, or -1.
 func (s *Snapshot) MaxThreadID() int {
-	ids := s.ThreadIDs() // ascending
-	if len(ids) == 0 {
+	if len(s.tids) == 0 {
 		return -1
 	}
-	return ids[len(ids)-1]
+	return s.tids[len(s.tids)-1]
 }
 
 // LockOwner reports whether mutex a is held at this point, and by whom.

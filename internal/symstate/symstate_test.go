@@ -1,6 +1,9 @@
 package symstate
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"res/internal/coredump"
@@ -128,26 +131,6 @@ func TestCOWLayering(t *testing.T) {
 	}
 }
 
-func TestFlattenEquivalence(t *testing.T) {
-	pool := symx.NewPool()
-	s := FromDump(sampleDump(), 20, pool)
-	c := s.Clone()
-	c.SetMem(40, pool.FreshExpr("x"))
-	c.MutableThread(0).PC = 77
-	c.DeleteThread(1)
-	c.AddCons(solver.Eq(symx.Const(1), symx.Const(1)))
-	f := c.Flatten()
-	if f.Fingerprint() != c.Fingerprint() {
-		t.Error("flattened fingerprint differs")
-	}
-	if !f.MemAt(40).Equal(c.MemAt(40)) || f.Thread(0).PC != 77 || f.Thread(1) != nil {
-		t.Error("flattened view differs")
-	}
-	if len(f.Cons()) != len(c.Cons()) {
-		t.Error("flattened cons differ")
-	}
-}
-
 func TestFingerprintDiscriminates(t *testing.T) {
 	pool := symx.NewPool()
 	s := FromDump(sampleDump(), 20, pool)
@@ -179,7 +162,7 @@ func TestSessionIncrementalCheck(t *testing.T) {
 	y := pool.Fresh("y")
 	c.AddCons(solver.Eq(symx.VarExpr(y), symx.Binary(symx.OpAdd, symx.VarExpr(x), symx.Const(1))))
 	res := c.Check(solver.Options{})
-	if res.Verdict != solver.Sat || res.Model[x] != 5 || res.Model[y] != 6 {
+	if res.Verdict != solver.Sat || res.Model()[x] != 5 || res.Model()[y] != 6 {
 		t.Errorf("incremental check = %+v", res)
 	}
 	// The parent's session is untouched and the child's can extend again.
@@ -218,7 +201,7 @@ func TestCheckIntegration(t *testing.T) {
 	x := pool.Fresh("x")
 	s.AddCons(solver.Eq(symx.VarExpr(x), symx.Const(5)))
 	res := s.Check(solver.Options{})
-	if res.Verdict != solver.Sat || res.Model[x] != 5 {
+	if res.Verdict != solver.Sat || res.Model()[x] != 5 {
 		t.Errorf("check = %+v", res)
 	}
 	s.AddCons(solver.Eq(symx.VarExpr(x), symx.Const(6)))
@@ -243,5 +226,86 @@ func TestMemAtOutOfRange(t *testing.T) {
 	s := FromDump(sampleDump(), 20, pool)
 	if got := s.MemAt(100000); !got.Equal(symx.Const(0)) {
 		t.Errorf("out-of-range MemAt = %v", got)
+	}
+}
+
+// chainThreadIDs is the layer-chain walk ThreadIDs replaced, kept as its
+// reference.
+func chainThreadIDs(s *Snapshot) []int {
+	seen := make(map[int]bool)
+	var out []int
+	for cur := s; cur != nil; cur = cur.parent {
+		for id, t := range cur.threads {
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
+			if t != nil {
+				out = append(out, id)
+			}
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+func TestThreadIDsAfterSpawnUnwind(t *testing.T) {
+	d := sampleDump()
+	d.Threads = append(d.Threads, coredump.Thread{ID: 2, PC: 3, State: coredump.ThreadRunnable})
+	s := FromDump(d, 20, symx.NewPool())
+	c := s.Clone()
+	c.MutableThread(0).PC = 4
+	c.DeleteThread(2) // the spawn of thread 2 unwound
+	if got := c.ThreadIDs(); !slices.Equal(got, []int{0, 1}) || c.MaxThreadID() != 1 {
+		t.Errorf("child ids = %v, max %d", got, c.MaxThreadID())
+	}
+	if got := s.ThreadIDs(); !slices.Equal(got, []int{0, 1, 2}) || s.MaxThreadID() != 2 {
+		t.Errorf("parent ids = %v, max %d", got, s.MaxThreadID())
+	}
+	sib := s.Clone()
+	sib.DeleteThread(7) // not live: nothing changes
+	if got := sib.ThreadIDs(); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("sibling ids = %v", got)
+	}
+	g := c.Clone()
+	g.DeleteThread(1)
+	g.DeleteThread(0)
+	if got := g.ThreadIDs(); len(got) != 0 || g.MaxThreadID() != -1 {
+		t.Errorf("grandchild ids = %v, max %d", got, g.MaxThreadID())
+	}
+	if got := c.ThreadIDs(); !slices.Equal(got, []int{0, 1}) {
+		t.Errorf("child ids after grandchild deletes = %v", got)
+	}
+}
+
+// TestThreadIDsMatchChainWalk grows seeded random clone chains that
+// mutate and delete threads, checking every layer against the walk.
+func TestThreadIDsMatchChainWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		d := sampleDump()
+		d.Threads = d.Threads[:0]
+		n := 1 + rng.Intn(8)
+		for id := 0; id < n; id++ {
+			d.Threads = append(d.Threads, coredump.Thread{ID: id})
+		}
+		layers := []*Snapshot{FromDump(d, 20, symx.NewPool())}
+		for depth := 1; depth <= 60; depth++ {
+			c := layers[rng.Intn(len(layers))].Clone()
+			switch rng.Intn(4) {
+			case 0:
+				c.DeleteThread(rng.Intn(n + 1))
+			case 1:
+				if th := c.MutableThread(rng.Intn(n)); th != nil {
+					th.PC = depth
+				}
+			}
+			layers = append(layers, c)
+			for i, l := range layers {
+				if got, want := l.ThreadIDs(), chainThreadIDs(l); !slices.Equal(got, want) {
+					t.Fatalf("trial %d depth %d layer %d: ids %v, want %v", trial, depth, i, got, want)
+				}
+			}
+		}
 	}
 }

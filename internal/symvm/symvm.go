@@ -26,7 +26,7 @@ package symvm
 
 import (
 	"fmt"
-	"os"
+	"slices"
 	"sort"
 
 	"res/internal/coredump"
@@ -162,7 +162,10 @@ type exec struct {
 	// this range, oldest first.
 	heapRun []coredump.HeapObject
 
-	forced      map[symx.Var]int64
+	forced map[symx.Var]int64
+	// fresh lists the variables of forced that the post snapshot's solver
+	// session does not bind.
+	fresh       []symx.Var
 	probe       bool
 	solverCalls int
 }
@@ -198,6 +201,7 @@ func BackExec(req Req, opt Options) *Result {
 	// (stack-pointer arithmetic and friends).
 	var (
 		forced      map[symx.Var]int64
+		fresh       []symx.Var
 		preRegVars  map[isa.Reg]symx.Var
 		solverCalls int
 	)
@@ -213,7 +217,7 @@ func BackExec(req Req, opt Options) *Result {
 		if pr.Verdict == solver.Unsat {
 			return &Result{Verdict: Infeasible, Reason: "register state contradiction: " + pr.Reason, SolverCalls: probe.solverCalls + 1}
 		}
-		forced = pr.Forced
+		forced, fresh = pr.Forced, pr.NewlyForced
 		preRegVars = probe.preRegVars
 		solverCalls = probe.solverCalls + 1
 	}
@@ -221,6 +225,7 @@ func BackExec(req Req, opt Options) *Result {
 	// Pass B: the real execution with forced bindings available for
 	// address resolution.
 	e := newExec(req, opt, false, forced)
+	e.fresh = fresh
 	if preRegVars != nil {
 		e.preRegVars = preRegVars // share pre-register symbols across passes
 	}
@@ -277,21 +282,15 @@ func (e *exec) initRegs() {
 
 // substForced rewrites variables with their forced (implied) values.
 func (e *exec) substForced(x *symx.Expr) *symx.Expr {
-	if e.forced == nil || !x.HasVars() {
+	if e.forced == nil {
 		return x
 	}
-	vars := make(map[symx.Var]bool)
-	x.Vars(vars)
-	sub := make(map[symx.Var]*symx.Expr)
-	for v := range vars {
+	return x.SubstFunc(func(v symx.Var) (*symx.Expr, bool) {
 		if c, ok := e.forced[v]; ok {
-			sub[v] = symx.Const(c)
+			return symx.Const(c), true
 		}
-	}
-	if len(sub) == 0 {
-		return x
-	}
-	return x.Subst(sub)
+		return nil, false
+	})
 }
 
 // run executes the instruction range. It returns a terminal Result on
@@ -335,7 +334,7 @@ func (e *exec) resolveAddr(x *symx.Expr, pc int) (uint32, *Result) {
 	if r1.Verdict != solver.Sat {
 		return 0, e.fail(Unknown, "pc %d: cannot resolve symbolic address %s", pc, x)
 	}
-	v1, ok := x.Eval(r1.Model)
+	v1, ok := r1.Eval(x)
 	if !ok {
 		return 0, e.fail(Unknown, "pc %d: address evaluation failed", pc)
 	}
@@ -685,12 +684,11 @@ func (e *exec) finish() *Result {
 	}
 	added = append(added, e.cons...)
 	// Forced bindings are implied by the pass-A subset of this system;
-	// asserting them keeps the substituted system equisatisfiable.
-	forcedVars := make([]symx.Var, 0, len(e.forced))
-	for v := range e.forced {
-		forcedVars = append(forcedVars, v)
-	}
-	sort.Slice(forcedVars, func(i, j int) bool { return forcedVars[i] < forcedVars[j] })
+	// asserting them keeps the substituted system equisatisfiable. Only the
+	// ones post's session does not bind need asserting: the session would
+	// discharge the others on propagation without changing its state.
+	forcedVars := append([]symx.Var(nil), e.fresh...)
+	slices.Sort(forcedVars)
 	for _, v := range forcedVars {
 		added = append(added, solver.Eq(symx.VarExpr(v), symx.Const(e.forced[v])))
 	}
@@ -804,11 +802,6 @@ func (e *exec) finish() *Result {
 	pre := post.Clone()
 	pre.Depth++
 	pre.AddCons(added...)
-	if os.Getenv("RES_DEBUG_CONS") != "" {
-		for _, c := range pre.Cons() {
-			fmt.Println("  cons:", c)
-		}
-	}
 	chk := pre.Check(e.opt.Solver)
 	e.solverCalls++
 	switch chk.Verdict {

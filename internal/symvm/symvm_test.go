@@ -144,7 +144,7 @@ end:
 	if chk.Verdict != solver.Sat {
 		t.Fatalf("pre constraints unsat")
 	}
-	if chk.Model[entry.Inputs[0].Var] == 0 {
+	if chk.Model()[entry.Inputs[0].Var] == 0 {
 		t.Error("branch direction constraint lost: input modelled as 0")
 	}
 }
@@ -176,7 +176,7 @@ func main:
 	if chk.Verdict != solver.Sat {
 		t.Fatal("unsat")
 	}
-	preG, ok := res.Pre.MemAt(gaddr).Eval(chk.Model)
+	preG, ok := res.Pre.MemAt(gaddr).Eval(chk.Model())
 	if !ok || preG != 0 {
 		t.Errorf("pre g = %d, want 0", preG)
 	}

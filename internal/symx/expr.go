@@ -380,6 +380,33 @@ func (e *Expr) Eval(m Model) (int64, bool) {
 	return 0, false
 }
 
+// EvalFunc is Eval with each variable's value read from val.
+func (e *Expr) EvalFunc(val func(Var) int64) (int64, bool) {
+	switch e.Kind {
+	case KConst:
+		return e.Val, true
+	case KVar:
+		return val(e.V), true
+	case KUnary:
+		a, ok := e.L.EvalFunc(val)
+		if !ok {
+			return 0, false
+		}
+		return evalUn(e.Op, a)
+	case KBinary:
+		a, ok := e.L.EvalFunc(val)
+		if !ok {
+			return 0, false
+		}
+		b, ok := e.R.EvalFunc(val)
+		if !ok {
+			return 0, false
+		}
+		return evalBin(e.Op, a, b)
+	}
+	return 0, false
+}
+
 // Subst replaces variables with the given expressions, rebuilding (and so
 // re-simplifying) the tree. Variables absent from s are kept.
 func (e *Expr) Subst(s map[Var]*Expr) *Expr {
@@ -406,6 +433,43 @@ func (e *Expr) Subst(s map[Var]*Expr) *Expr {
 		return Binary(e.Op, l, r)
 	}
 	return e
+}
+
+// SubstFunc is Subst with the replacements given by f: a variable for
+// which f reports false is kept. Like Subst it replaces all at once, so a
+// replacement is not itself substituted.
+func (e *Expr) SubstFunc(f func(Var) (*Expr, bool)) *Expr {
+	switch e.Kind {
+	case KVar:
+		if r, ok := f(e.V); ok {
+			return r
+		}
+	case KUnary:
+		if l := e.L.SubstFunc(f); l != e.L {
+			return Unary(e.Op, l)
+		}
+	case KBinary:
+		l := e.L.SubstFunc(f)
+		r := e.R.SubstFunc(f)
+		if l != e.L || r != e.R {
+			return Binary(e.Op, l, r)
+		}
+	}
+	return e
+}
+
+// AnyVar reports whether f holds for some variable occurrence of e,
+// visiting occurrences left to right and stopping at the first.
+func (e *Expr) AnyVar(f func(Var) bool) bool {
+	switch e.Kind {
+	case KVar:
+		return f(e.V)
+	case KUnary:
+		return e.L.AnyVar(f)
+	case KBinary:
+		return e.L.AnyVar(f) || e.R.AnyVar(f)
+	}
+	return false
 }
 
 // Vars adds every variable occurring in e to set.
