@@ -17,6 +17,7 @@ package rootcause
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -103,12 +104,13 @@ func (c *Cause) String() string {
 
 // accessRec is one observed access during instrumented replay.
 type accessRec struct {
-	seq   int
 	tid   int
 	pc    int
 	addr  uint32
 	write bool
-	locks map[uint32]bool // locks held by tid at access time
+	// locks is the set of locks tid held at access time: nil when none,
+	// and never written once recorded (see withLock).
+	locks map[uint32]bool
 }
 
 // Analysis is the full result: the cause plus whether the replay
@@ -128,38 +130,18 @@ type Analysis struct {
 // the most specific root cause it can justify.
 func Analyze(p *prog.Program, syn *core.Synthesized, original *coredump.Dump) (*Analysis, error) {
 	var recs []accessRec
-	held := make(map[int]map[uint32]bool)
-	lockset := func(tid int) map[uint32]bool {
-		ls := make(map[uint32]bool, len(held[tid]))
-		for a := range held[tid] {
-			ls[a] = true
-		}
-		return ls
-	}
-	seq := 0
+	held := make(map[int]map[uint32]bool) // each thread's current lockset
 	hooks := vm.Hooks{
 		OnAccess: func(tid, pc int, addr uint32, write bool) {
-			recs = append(recs, accessRec{seq: seq, tid: tid, pc: pc, addr: addr, write: write, locks: lockset(tid)})
-			seq++
+			recs = append(recs, accessRec{tid: tid, pc: pc, addr: addr, write: write, locks: held[tid]})
 		},
 		OnLock: func(tid, pc int, addr uint32, acquire bool) {
-			if held[tid] == nil {
-				held[tid] = make(map[uint32]bool)
-			}
-			if acquire {
-				held[tid][addr] = true
-			} else {
-				delete(held[tid], addr)
-			}
-			seq++
+			held[tid] = withLock(held[tid], addr, acquire)
 		},
 	}
 	// Seed locksets with the locks already held at the suffix start.
 	for a, owner := range syn.PreLocks {
-		if held[owner] == nil {
-			held[owner] = make(map[uint32]bool)
-		}
-		held[owner][a] = true
+		held[owner] = withLock(held[owner], a, true)
 	}
 
 	rr, err := replay.Run(p, syn, original, replay.Config{CheckHeap: true, Hooks: hooks})
@@ -183,10 +165,11 @@ func Analyze(p *prog.Program, syn *core.Synthesized, original *coredump.Dump) (*
 	}
 
 	// Concurrency analysis over the access recording.
-	if c := findAtomicityViolation(recs); c != nil {
+	shared := sharedAccesses(recs)
+	if c := findAtomicityViolation(recs, shared); c != nil {
 		an.Races = append(an.Races, c)
 	}
-	if cs := findRaces(recs); len(cs) > 0 {
+	if cs := findRaces(recs, shared); len(cs) > 0 {
 		an.Races = append(an.Races, cs...)
 	}
 	if len(an.Races) > 0 {
@@ -230,27 +213,76 @@ func faultCause(f coredump.Fault) *Cause {
 	return c
 }
 
+// withLock returns the lockset ls with lock a acquired or released, nil
+// when no lock is left. It builds a new set and leaves ls as it was, so
+// the accesses that recorded ls keep the set they saw.
+func withLock(ls map[uint32]bool, a uint32, acquire bool) map[uint32]bool {
+	out := make(map[uint32]bool, len(ls)+1)
+	for l := range ls {
+		out[l] = true
+	}
+	if acquire {
+		out[a] = true
+	} else {
+		delete(out, a)
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// sharedAccesses indexes the recording by address, in recording order,
+// keeping only the addresses that at least two threads touched and at
+// least one access wrote: every race and atomicity violation the
+// detectors report lies within one such address.
+func sharedAccesses(recs []accessRec) map[uint32][]int {
+	type use struct {
+		tid            int
+		multi, written bool
+	}
+	uses := make(map[uint32]use)
+	for i := range recs {
+		r := &recs[i]
+		u, ok := uses[r.addr]
+		if !ok {
+			u.tid = r.tid
+		} else if u.tid != r.tid {
+			u.multi = true
+		}
+		u.written = u.written || r.write
+		uses[r.addr] = u
+	}
+	var out map[uint32][]int
+	for i := range recs {
+		a := recs[i].addr
+		if u := uses[a]; u.multi && u.written {
+			if out == nil {
+				out = make(map[uint32][]int)
+			}
+			out[a] = append(out[a], i)
+		}
+	}
+	return out
+}
+
 // findRaces runs the lockset discipline over the recording: two accesses
 // to the same address from different threads, at least one a write, with
-// no common lock protecting both.
-func findRaces(recs []accessRec) []*Cause {
-	byAddr := make(map[uint32][]accessRec)
-	for _, r := range recs {
-		byAddr[r.addr] = append(byAddr[r.addr], r)
-	}
-	addrs := make([]uint32, 0, len(byAddr))
-	for a := range byAddr {
+// no common lock protecting both. shared is sharedAccesses(recs).
+func findRaces(recs []accessRec, shared map[uint32][]int) []*Cause {
+	addrs := make([]uint32, 0, len(shared))
+	for a := range shared {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 
 	var out []*Cause
 	seen := make(map[string]bool)
 	for _, a := range addrs {
-		rs := byAddr[a]
+		rs := shared[a]
 		for i := 0; i < len(rs); i++ {
 			for j := i + 1; j < len(rs); j++ {
-				x, y := rs[i], rs[j]
+				x, y := &recs[rs[i]], &recs[rs[j]]
 				if x.tid == y.tid || (!x.write && !y.write) {
 					continue
 				}
@@ -273,18 +305,27 @@ func findRaces(recs []accessRec) []*Cause {
 
 // findAtomicityViolation looks for the classic single-variable pattern:
 // thread t accesses a, thread u writes a, thread t accesses a again, with
-// the t accesses unprotected by a common lock spanning both.
-func findAtomicityViolation(recs []accessRec) *Cause {
-	for i := 0; i < len(recs); i++ {
-		first := recs[i]
-		for j := i + 1; j < len(recs); j++ {
-			mid := recs[j]
-			if mid.tid == first.tid || mid.addr != first.addr || !mid.write {
+// the t accesses unprotected by a common lock spanning both. It reports
+// the first such triple in recording order. shared is
+// sharedAccesses(recs).
+func findAtomicityViolation(recs []accessRec, shared map[uint32][]int) *Cause {
+	next := make(map[uint32]int, len(shared)) // position of the next first in shared[addr]
+	for i := range recs {
+		first := &recs[i]
+		rs, ok := shared[first.addr]
+		if !ok {
+			continue
+		}
+		p := next[first.addr]
+		next[first.addr] = p + 1
+		for j := p + 1; j < len(rs); j++ {
+			mid := &recs[rs[j]]
+			if mid.tid == first.tid || !mid.write {
 				continue
 			}
-			for k := j + 1; k < len(recs); k++ {
-				last := recs[k]
-				if last.tid != first.tid || last.addr != first.addr {
+			for k := j + 1; k < len(rs); k++ {
+				last := &recs[rs[k]]
+				if last.tid != first.tid {
 					continue
 				}
 				// The pair (first, last) should have been atomic. If a lock

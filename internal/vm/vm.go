@@ -172,7 +172,7 @@ type VM struct {
 	lbrSize int
 
 	steps uint64
-	rng   *rand.Rand
+	rng   *rand.Rand // nil until intn first draws; a forced schedule never does
 	cfg   Config
 }
 
@@ -191,7 +191,6 @@ func New(p *prog.Program, cfg Config) (*VM, error) {
 		inputs:   cfg.Inputs,
 		inputPos: make(map[int64]int),
 		lbrSize:  cfg.LBRSize,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		cfg:      cfg,
 	}
 	if v.lbrSize == 0 {
@@ -239,7 +238,6 @@ func NewFromState(p *prog.Program, cfg Config, st State) (*VM, error) {
 		inputs:   cfg.Inputs,
 		inputPos: make(map[int64]int),
 		lbrSize:  cfg.LBRSize,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		cfg:      cfg,
 	}
 	if v.lbrSize == 0 {
@@ -347,11 +345,19 @@ func (v *VM) pick(cur int) (int, bool) {
 		return 0, false
 	}
 	if cur < len(v.Threads) && v.Threads[cur].State == coredump.ThreadRunnable {
-		if v.cfg.PreemptPct <= 0 || v.rng.Intn(100) >= v.cfg.PreemptPct || len(runnable) == 1 {
+		if v.cfg.PreemptPct <= 0 || v.intn(100) >= v.cfg.PreemptPct || len(runnable) == 1 {
 			return cur, true
 		}
 	}
-	return runnable[v.rng.Intn(len(runnable))], true
+	return runnable[v.intn(len(runnable))], true
+}
+
+// intn draws from the scheduler's source, seeding it on first use.
+func (v *VM) intn(n int) int {
+	if v.rng == nil {
+		v.rng = rand.New(rand.NewSource(v.cfg.Seed))
+	}
+	return v.rng.Intn(n)
 }
 
 func (v *VM) anyBlocked() bool {
