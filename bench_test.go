@@ -681,6 +681,39 @@ func BenchmarkDeepSuffix(b *testing.B) {
 	}
 }
 
+// BenchmarkDeepAnalysis runs Analyzer.Analyze on a DistanceChain long
+// enough for the depth budget, at search parallelism 1: the backward
+// search plus the cause extraction (concretize, checked replay,
+// detectors) of every suffix it finds, each of which is generic, so the
+// search runs to the budget. A suffix's extraction costs its own length,
+// so ns/op grows as depth² at best; suffix-ns/op is ns/op over the
+// suffixes analyzed.
+func BenchmarkDeepAnalysis(b *testing.B) {
+	for _, depth := range []int{24, 96, 160} {
+		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
+			bug := workload.DistanceChain(depth + 2)
+			p := bug.Program()
+			d := mustFail(b, bug, 2)
+			a := res.NewAnalyzer(p, res.WithMaxDepth(depth), res.WithMaxNodes(4*depth), res.WithSearchParallelism(1))
+			ctx := context.Background()
+			suffixes := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := a.Analyze(ctx, d)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st := r.Report.Stats; st.MaxDepth != depth {
+					b.Fatalf("reached depth %d, want %d", st.MaxDepth, depth)
+				}
+				suffixes += r.Report.Stats.Feasible
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(suffixes), "suffix-ns/op")
+		})
+	}
+}
+
 // BenchmarkDeepSuffixTraced is BenchmarkDeepSuffix with span tracing
 // enabled: the observability layer's overhead gauge. Its step-ns/op is
 // directly comparable to the untraced run's — the acceptance bar is
