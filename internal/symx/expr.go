@@ -410,29 +410,10 @@ func (e *Expr) EvalFunc(val func(Var) int64) (int64, bool) {
 // Subst replaces variables with the given expressions, rebuilding (and so
 // re-simplifying) the tree. Variables absent from s are kept.
 func (e *Expr) Subst(s map[Var]*Expr) *Expr {
-	switch e.Kind {
-	case KConst:
-		return e
-	case KVar:
-		if r, ok := s[e.V]; ok {
-			return r
-		}
-		return e
-	case KUnary:
-		l := e.L.Subst(s)
-		if l == e.L {
-			return e
-		}
-		return Unary(e.Op, l)
-	case KBinary:
-		l := e.L.Subst(s)
-		r := e.R.Subst(s)
-		if l == e.L && r == e.R {
-			return e
-		}
-		return Binary(e.Op, l, r)
-	}
-	return e
+	return e.SubstFunc(func(v Var) (*Expr, bool) {
+		r, ok := s[v]
+		return r, ok
+	})
 }
 
 // SubstFunc is Subst with the replacements given by f: a variable for
