@@ -1088,7 +1088,7 @@ func (m *model) full() symx.Model {
 	for v, c := range m.search {
 		out[v] = c
 	}
-	rv := resolver{m: m}
+	rv := resolver{m: m, memo: make(map[symx.Var]resolved, len(m.defs))}
 	for v := range m.defs {
 		if r := rv.value(v); r.set {
 			out[v] = r.val
