@@ -380,7 +380,9 @@ func (e *Expr) Eval(m Model) (int64, bool) {
 	return 0, false
 }
 
-// EvalFunc is Eval with each variable's value read from val.
+// EvalFunc is Eval with each variable's value read from val. Eval does
+// not call it: the solver's search runs Eval in its innermost loop, where
+// the indirect call per variable costs ~18%.
 func (e *Expr) EvalFunc(val func(Var) int64) (int64, bool) {
 	switch e.Kind {
 	case KConst:
