@@ -990,63 +990,6 @@ func BenchmarkCheckpointLongExecution(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationForcedBindings quantifies the design choice DESIGN.md
-// calls out: the register-only pre-pass whose forced (logically implied)
-// bindings resolve stack-relative addresses during backward execution.
-// Without it, call/return unwinding degrades to Unknown and the search
-// cannot cross function boundaries.
-func BenchmarkAblationForcedBindings(b *testing.B) {
-	src := `
-.global g 1
-func main:
-    const r0, 6
-    call work
-    storeg r0, &g
-    loadg r1, &g
-    addi r2, r1, -21
-    assert r2
-    halt
-func work:
-    addi sp, sp, -1
-    store sp, r0, 0
-    load r3, sp, 0
-    addi sp, sp, 1
-    mul r0, r3, r0
-    addi r0, r0, -15
-    ret
-`
-	p, err := res.Assemble(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := res.Run(p, res.RunConfig{})
-	if err != nil || d == nil {
-		b.Fatalf("setup: %v %v", d, err)
-	}
-	for _, disable := range []bool{false, true} {
-		disable := disable
-		name := "with-probe"
-		if disable {
-			name = "no-probe"
-		}
-		b.Run(name, func(b *testing.B) {
-			var unknowns, depth int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng := core.New(p, core.Options{MaxDepth: 12, DisableProbe: disable})
-				rep, err := eng.Analyze(d)
-				if err != nil {
-					b.Fatal(err)
-				}
-				unknowns += rep.Stats.Unknown
-				depth += rep.Stats.MaxDepth
-			}
-			b.ReportMetric(float64(unknowns)/float64(b.N), "unknown/op")
-			b.ReportMetric(float64(depth)/float64(b.N), "depth/op")
-		})
-	}
-}
-
 // BenchmarkMinimize measures the delta-debugging loop that shrinks a
 // recorded failure's redundant evidence set to a 1-minimal repro (the
 // closing-the-loop subsystem). ns/op is dominated by the analyzer

@@ -223,8 +223,6 @@ type Options struct {
 	BeamWidth int
 	// Solver tunes the underlying constraint solving.
 	Solver solver.Options
-	// DisableProbe forwards the symvm ablation knob (see symvm.Options).
-	DisableProbe bool
 	// Evidence is the ordered list of compiled evidence pruners applied to
 	// the search (the internal/evidence integration point; the classic LBR
 	// filter and output-log matching are two of them). Order matters: each
@@ -581,9 +579,6 @@ func (e *Engine) AnalyzeContext(ctx context.Context, d *coredump.Dump) (*Report,
 // the dump itself at depth 0.
 func (e *Engine) baseCase(d *coredump.Dump, rep *Report) (*Node, error) {
 	snap := symstate.FromDump(d, e.P.Layout.HeapBase, e.pool)
-	// Seed the incremental solver session at the root: every descendant
-	// snapshot extends it with only the constraints its own step added.
-	snap.AttachSession(e.solverOpt)
 	if d.Fault.Thread < 0 {
 		return &Node{Snap: snap, ev: e.rootCursors(), fp: snap.Fingerprint()}, nil
 	}
@@ -608,7 +603,7 @@ func (e *Engine) baseCase(d *coredump.Dump, rep *Report) (*Node, error) {
 		SpawnChild: -1,
 		FaultCons:  e.faultCons(d),
 	}
-	res := symvm.BackExec(req, symvm.Options{Solver: e.solverOpt, DisableProbe: e.opt.DisableProbe})
+	res := symvm.BackExec(req, e.solverOpt)
 	rep.Stats.Attempts++
 	rep.Stats.SolverCalls += res.SolverCalls
 	switch res.Verdict {
@@ -930,7 +925,7 @@ func (e *Engine) stepOnce(n *Node, c candidate, consumeMask uint64, d *coredump.
 		SpawnChild: c.spawnChild,
 		HaltStep:   c.kind == StepHalt,
 	}
-	res := symvm.BackExec(req, symvm.Options{Solver: e.solverOpt, DisableProbe: e.opt.DisableProbe})
+	res := symvm.BackExec(req, e.solverOpt)
 	out = stepOut{verdict: res.Verdict, solverCalls: res.SolverCalls}
 	if res.Verdict != symvm.Feasible {
 		return out

@@ -41,9 +41,8 @@ type Synthesized struct {
 // suffix: schedule, inputs, and the pre-image Mi. The dump supplies the
 // failure point (the pc at which the final partial step stops).
 func (e *Engine) Concretize(n *Node, d *coredump.Dump) (*Synthesized, error) {
-	// With a session on the snapshot this is a residual-only solve (the
-	// whole chain is already propagated); without one it solves the
-	// flattened constraint set from scratch.
+	// A residual-only solve: the snapshot's session has already
+	// propagated every constraint on the path.
 	res := n.Snap.CheckWith(e.opt.Solver, nil)
 	if res.Verdict != solver.Sat {
 		return nil, fmt.Errorf("core: node constraints not solvable: %v (%s)", res.Verdict, res.Reason)

@@ -7,19 +7,23 @@
 //
 // Snapshots are copy-on-write: Clone is O(1) and returns a child layered
 // on its parent, holding only the deltas (memory overlay writes, thread
-// mutations, lock-table changes) the child itself makes, plus a
-// persistent-append constraint chain. Reads walk the layer chain, whose
-// length is the search depth — so a depth-d node costs O(its own step) to
-// create, not O(accumulated state). The live thread ids are the exception:
-// each layer holds them, sharing its parent's list until it deletes a
-// thread, because the search reads them several times per step.
+// mutations, lock-table changes) the child itself makes. Reads walk the
+// layer chain, whose length is the search depth — so a depth-d node costs
+// O(its own step) to create, not O(accumulated state). The live thread ids
+// are the exception: each layer holds them, sharing its parent's list
+// until it deletes a thread, because the search reads them several times
+// per step.
+//
+// Every snapshot carries a solver.Session, the propagated solver state
+// over the constraints it held at its last Check, plus the constraints
+// added since. Check propagates only those on top of the session, so a
+// per-step satisfiability check costs the step, not the depth; a child
+// inherits both its parent's session and its unchecked constraints.
 //
 // Each snapshot also maintains an incremental structural fingerprint
 // (built on symx's cached expression hashes) identifying its
 // (threads, overlay, constraints, locks, heap) content, which the search
-// uses to deduplicate equivalent frontier nodes, and can carry a
-// solver.Session holding the propagated solver state over its constraint
-// chain, which makes per-step satisfiability checks incremental.
+// uses to deduplicate equivalent frontier nodes.
 package symstate
 
 import (
@@ -90,17 +94,13 @@ type Snapshot struct {
 	// place once a layer holds it.
 	tids []int
 
-	// cons holds the constraints appended by this layer; the full set is
-	// the chain's concatenation, frozen per layer by parentConsLen.
-	cons          []solver.Constraint
-	parentConsLen int // parent's visible cons length at fork time
-	consLen       int // total visible constraints (chain-cumulative)
-
-	// Sess, when non-nil, is the propagated solver state over the first
-	// sessLen constraints of the chain. Check keeps it in step; callers
-	// that append constraints directly just call Check to re-sync.
-	Sess    *solver.Session
-	sessLen int
+	// sess is the propagated solver state over every constraint the
+	// snapshot held at its last Check; pending lists the constraints added
+	// since, oldest first. A clone's pending is capped at its length, so
+	// an append on either side of the fork copies instead of reaching the
+	// other.
+	sess    *solver.Session
+	pending []solver.Constraint
 
 	Heap     []coredump.HeapObject // allocator records at this point (replaced wholesale, never mutated in place)
 	HeapNext uint32                // bump pointer at this point
@@ -123,6 +123,7 @@ func FromDump(d *coredump.Dump, heapBase uint32, pool *symx.Pool) *Snapshot {
 		mem:     make(map[uint32]*symx.Expr),
 		threads: make(map[int]*ThreadState),
 		locks:   make(map[uint32]int, len(d.Locks)),
+		sess:    solver.NewSession(),
 		Heap:    append([]coredump.HeapObject(nil), d.Heap...),
 	}
 	for _, t := range d.Threads {
@@ -153,20 +154,19 @@ func FromDump(d *coredump.Dump, heapBase uint32, pool *symx.Pool) *Snapshot {
 // child sees every constraint s holds now; constraints appended to s later
 // are invisible to the child.
 func (s *Snapshot) Clone() *Snapshot {
+	n := len(s.pending)
 	return &Snapshot{
-		Pool:          s.Pool,
-		Base:          s.Base,
-		parent:        s,
-		tids:          s.tids,
-		Heap:          s.Heap,
-		HeapNext:      s.HeapNext,
-		parentConsLen: len(s.cons),
-		consLen:       s.consLen,
-		Sess:          s.Sess,
-		sessLen:       s.sessLen,
-		Depth:         s.Depth,
-		memHash:       s.memHash,
-		consHash:      s.consHash,
+		Pool:     s.Pool,
+		Base:     s.Base,
+		parent:   s,
+		tids:     s.tids,
+		sess:     s.sess,
+		pending:  s.pending[:n:n],
+		Heap:     s.Heap,
+		HeapNext: s.HeapNext,
+		Depth:    s.Depth,
+		memHash:  s.memHash,
+		consHash: s.consHash,
 	}
 }
 
@@ -365,84 +365,32 @@ func (s *Snapshot) NumLocks() int {
 	return n
 }
 
-// AddCons appends path constraints to this layer.
+// AddCons adds path constraints to the snapshot. The next Check or
+// CheckWith decides them.
 func (s *Snapshot) AddCons(cs ...solver.Constraint) {
 	for _, c := range cs {
 		s.consHash = mix(mix(s.consHash, c.L.Hash()^uint64(c.Rel)<<56), c.R.Hash())
 	}
-	s.cons = append(s.cons, cs...)
-	s.consLen += len(cs)
+	s.pending = append(s.pending, cs...)
 }
 
-// Cons flattens the constraint chain, oldest first. The result is freshly
-// allocated; callers may append to it.
-func (s *Snapshot) Cons() []solver.Constraint {
-	out := make([]solver.Constraint, s.consLen)
-	i := s.consLen
-	visible := len(s.cons)
-	for cur := s; cur != nil; {
-		i -= visible
-		copy(out[i:], cur.cons[:visible])
-		visible = cur.parentConsLen
-		cur = cur.parent
-	}
-	return out
-}
-
-// ConsLen returns the number of constraints in the chain.
-func (s *Snapshot) ConsLen() int { return s.consLen }
-
-// consDelta returns the constraints appended since the session last saw
-// the chain. Sessions are attached at the chain head, so the delta
-// normally lives in this layer's own slice; a session inherited from
-// below a fork point falls back to the flattened tail.
-func (s *Snapshot) consDelta() []solver.Constraint {
-	n := s.consLen - s.sessLen
-	if n <= 0 {
-		return nil
-	}
-	if n <= len(s.cons) {
-		return s.cons[len(s.cons)-n:]
-	}
-	all := s.Cons()
-	return all[len(all)-n:]
-}
-
-// Check decides the snapshot's constraint set. With a session attached it
-// solves incrementally — only constraints appended since the last Check
-// are propagated — and advances the session; without one it solves the
-// flattened chain from scratch.
+// Check decides the snapshot's constraint set: it propagates the
+// constraints added since the last Check on top of the session and
+// advances the session past them.
 func (s *Snapshot) Check(opt solver.Options) solver.Result {
-	if s.Sess == nil {
-		return solver.Check(s.Cons(), opt)
-	}
-	res, child := s.Sess.Extend(s.consDelta(), opt)
-	s.Sess, s.sessLen = child, s.consLen
+	res, sess := s.sess.Extend(s.pending, opt)
+	// Not pending[:0]: clones may still read the backing array.
+	s.sess, s.pending = sess, nil
 	return res
 }
 
-// CheckWith decides Cons() ∧ extra without recording extra on the
-// snapshot, incrementally when a session is attached.
+// CheckWith decides the snapshot's constraint set ∧ extra without
+// recording extra on the snapshot.
 func (s *Snapshot) CheckWith(opt solver.Options, extra []solver.Constraint) solver.Result {
-	if s.Sess == nil {
-		return solver.Check(append(s.Cons(), extra...), opt)
+	if len(s.pending) > 0 {
+		extra = slices.Concat(s.pending, extra)
 	}
-	delta := s.consDelta()
-	if len(delta) > 0 {
-		extra = append(append([]solver.Constraint(nil), delta...), extra...)
-	}
-	return s.Sess.CheckWith(extra, opt)
-}
-
-// AttachSession seeds the snapshot with the propagated solver state over
-// its current constraint chain. The search root calls this once; Check
-// keeps descendants in step from there.
-func (s *Snapshot) AttachSession(opt solver.Options) {
-	sess := solver.NewSession()
-	if s.consLen > 0 {
-		_, sess = sess.Extend(s.Cons(), opt)
-	}
-	s.Sess, s.sessLen = sess, s.consLen
+	return s.sess.CheckWith(extra, opt)
 }
 
 // Fingerprint returns a structural hash of the snapshot's content:
@@ -512,6 +460,6 @@ func (s *Snapshot) ConcretizeRegs(tid int, m symx.Model) ([isa.NumRegs]int64, er
 
 // String summarizes the snapshot.
 func (s *Snapshot) String() string {
-	return fmt.Sprintf("snapshot{depth=%d threads=%v overlay=%d cons=%d}",
-		s.Depth, s.ThreadIDs(), s.OverlayLen(), s.consLen)
+	return fmt.Sprintf("snapshot{depth=%d threads=%v overlay=%d pending=%d}",
+		s.Depth, s.ThreadIDs(), s.OverlayLen(), len(s.pending))
 }

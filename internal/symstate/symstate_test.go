@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"res/internal/coredump"
@@ -65,14 +66,18 @@ func TestCloneIsolation(t *testing.T) {
 	c.MutableThread(0).Regs[1] = symx.Const(0)
 	c.SetLock(51, 1)
 	c.AddCons(solver.Eq(v, symx.Const(1)))
+	other := []solver.Constraint{solver.Eq(v, symx.Const(2))}
 	if !s.MemAt(30).Equal(symx.Const(7)) {
 		t.Error("clone shares memory overlay")
 	}
 	if !s.Thread(0).Regs[1].Equal(symx.Const(42)) {
 		t.Error("clone shares registers")
 	}
-	if s.NumLocks() != 1 || s.ConsLen() != 0 {
-		t.Error("clone shares locks/constraints")
+	if s.NumLocks() != 1 {
+		t.Error("clone shares locks")
+	}
+	if res := s.CheckWith(solver.Options{}, other); res.Verdict != solver.Sat {
+		t.Errorf("parent sees the child's constraint: %v", res.Verdict)
 	}
 	// And the child sees its own layer over the parent's.
 	if !c.MemAt(30).Equal(v) || !c.Thread(0).Regs[1].Equal(symx.Const(0)) {
@@ -81,29 +86,37 @@ func TestCloneIsolation(t *testing.T) {
 	if o, held := c.LockOwner(50); !held || o != 0 {
 		t.Error("child lost the parent's lock table")
 	}
-	if c.NumLocks() != 2 || c.ConsLen() != 1 {
-		t.Errorf("child view: locks=%d cons=%d", c.NumLocks(), c.ConsLen())
+	if c.NumLocks() != 2 {
+		t.Errorf("child view: locks=%d", c.NumLocks())
+	}
+	if res := c.CheckWith(solver.Options{}, other); res.Verdict != solver.Unsat {
+		t.Errorf("child lost its constraint: %v", res.Verdict)
 	}
 }
 
 func TestCOWLayering(t *testing.T) {
 	pool := symx.NewPool()
 	s := FromDump(sampleDump(), 20, pool)
-	s.AddCons(solver.Ne(symx.VarExpr(pool.Fresh("a")), symx.Const(0)))
+	a, b, cv := pool.FreshExpr("a"), pool.FreshExpr("b"), pool.FreshExpr("c")
+	s.AddCons(solver.Ne(a, symx.Const(0)))
+	// unsatWith reports whether snap's constraints contradict extra.
+	unsatWith := func(snap *Snapshot, extra solver.Constraint) bool {
+		return snap.CheckWith(solver.Options{}, []solver.Constraint{extra}).Verdict == solver.Unsat
+	}
 
-	// Child layered on the parent: deletions tombstone, constraints chain.
+	// Child layered on the parent: deletions tombstone, constraints carry.
 	c := s.Clone()
 	c.DeleteThread(1)
 	c.DeleteLock(50)
-	c.AddCons(solver.Eq(symx.VarExpr(pool.Fresh("b")), symx.Const(2)))
+	c.AddCons(solver.Eq(b, symx.Const(2)))
 	if ids := c.ThreadIDs(); len(ids) != 1 || ids[0] != 0 {
 		t.Errorf("child threads = %v", ids)
 	}
 	if _, held := c.LockOwner(50); held {
 		t.Error("tombstoned lock still held")
 	}
-	if got := len(c.Cons()); got != 2 {
-		t.Errorf("chained cons = %d, want 2", got)
+	if !unsatWith(c, solver.Eq(a, symx.Const(0))) || !unsatWith(c, solver.Eq(b, symx.Const(3))) {
+		t.Error("child does not see both its parent's constraint and its own")
 	}
 	// Parent unaffected.
 	if ids := s.ThreadIDs(); len(ids) != 2 {
@@ -114,10 +127,10 @@ func TestCOWLayering(t *testing.T) {
 	}
 
 	// Constraints appended to the parent AFTER the fork stay invisible to
-	// the child (persistent-append freeze).
-	s.AddCons(solver.Eq(symx.VarExpr(pool.Fresh("c")), symx.Const(3)))
-	if got := len(c.Cons()); got != 2 {
-		t.Errorf("child sees parent's post-fork cons: %d", got)
+	// the child.
+	s.AddCons(solver.Eq(cv, symx.Const(3)))
+	if unsatWith(c, solver.Eq(cv, symx.Const(4))) {
+		t.Error("child sees the parent's post-fork constraint")
 	}
 
 	// A grandchild re-adding the deleted lock shadows the tombstone.
@@ -157,7 +170,9 @@ func TestSessionIncrementalCheck(t *testing.T) {
 	s := FromDump(sampleDump(), 20, pool)
 	x := pool.Fresh("x")
 	s.AddCons(solver.Eq(symx.VarExpr(x), symx.Const(5)))
-	s.AttachSession(solver.Options{})
+	if res := s.Check(solver.Options{}); res.Verdict != solver.Sat {
+		t.Fatalf("parent check = %v", res.Verdict)
+	}
 	c := s.Clone()
 	y := pool.Fresh("y")
 	c.AddCons(solver.Eq(symx.VarExpr(y), symx.Binary(symx.OpAdd, symx.VarExpr(x), symx.Const(1))))
@@ -166,12 +181,109 @@ func TestSessionIncrementalCheck(t *testing.T) {
 		t.Errorf("incremental check = %+v", res)
 	}
 	// The parent's session is untouched and the child's can extend again.
-	if res := s.CheckWith(solver.Options{}, nil); res.Verdict != solver.Sat {
+	if res := s.CheckWith(solver.Options{}, []solver.Constraint{solver.Eq(symx.VarExpr(y), symx.Const(7))}); res.Verdict != solver.Sat {
 		t.Errorf("parent check after child extend = %v", res.Verdict)
 	}
 	c.AddCons(solver.Eq(symx.VarExpr(y), symx.Const(7)))
 	if res := c.Check(solver.Options{}); res.Verdict != solver.Unsat {
 		t.Errorf("contradiction after extend = %v", res.Verdict)
+	}
+}
+
+// TestCloneCarriesUncheckedConstraints forks snapshots whose constraints
+// no Check has decided yet: a child inherits them, each generation's
+// later additions stay on its own side of the fork, and a grandchild sees
+// both generations.
+func TestCloneCarriesUncheckedConstraints(t *testing.T) {
+	pool := symx.NewPool()
+	s := FromDump(sampleDump(), 20, pool)
+	x, y, z := pool.Fresh("x"), pool.Fresh("y"), pool.Fresh("z")
+	s.AddCons(solver.Eq(symx.VarExpr(x), symx.Const(5)))
+	s.AddCons(solver.Ne(symx.VarExpr(y), symx.Const(0)))
+	s.AddCons(solver.Le(symx.VarExpr(z), symx.Const(100)))
+	if cap(s.pending) == len(s.pending) {
+		t.Fatal("setup: the parent's pending list has no spare capacity to share")
+	}
+
+	c := s.Clone()
+	c.AddCons(solver.Eq(symx.VarExpr(y), symx.Const(1)))
+	// The parent's next constraint lands where the child's would have
+	// without the fork's capacity cap, and contradicts it.
+	s.AddCons(solver.Eq(symx.VarExpr(y), symx.Const(2)))
+
+	res := c.Check(solver.Options{})
+	if res.Verdict != solver.Sat || res.Model()[x] != 5 || res.Model()[y] != 1 {
+		t.Fatalf("child check = %v %v, want x=5 y=1", res.Verdict, res.Model())
+	}
+	if res := c.CheckWith(solver.Options{}, []solver.Constraint{solver.Eq(symx.VarExpr(z), symx.Const(101))}); res.Verdict != solver.Unsat {
+		t.Errorf("child lost the parent's unchecked bound on z: %v", res.Verdict)
+	}
+	d := s.Clone()
+	res = s.Check(solver.Options{})
+	if res.Verdict != solver.Sat || res.Model()[x] != 5 || res.Model()[y] != 2 {
+		t.Fatalf("parent check = %v %v, want x=5 y=2", res.Verdict, res.Model())
+	}
+	// What the parent adds after its Check stays invisible to a child
+	// forked before it, which still holds the parent's unchecked list.
+	s.AddCons(solver.Eq(symx.VarExpr(z), symx.Const(7)))
+	if res := d.CheckWith(solver.Options{}, []solver.Constraint{solver.Eq(symx.VarExpr(z), symx.Const(8))}); res.Verdict != solver.Sat {
+		t.Errorf("child sees what the parent added after its Check: %v", res.Verdict)
+	}
+	res = d.Check(solver.Options{})
+	if res.Verdict != solver.Sat || res.Model()[x] != 5 || res.Model()[y] != 2 {
+		t.Fatalf("second child check = %v %v, want x=5 y=2", res.Verdict, res.Model())
+	}
+
+	// A grandchild of an unchecked child sees both generations.
+	u, w := pool.Fresh("u"), pool.Fresh("w")
+	c2 := s.Clone()
+	c2.AddCons(solver.Eq(symx.VarExpr(u), symx.Binary(symx.OpAdd, symx.VarExpr(x), symx.VarExpr(y))))
+	g := c2.Clone()
+	g.AddCons(solver.Eq(symx.VarExpr(w), symx.Binary(symx.OpMul, symx.VarExpr(u), symx.Const(2))))
+	res = g.Check(solver.Options{})
+	if res.Verdict != solver.Sat || res.Model()[u] != 7 || res.Model()[w] != 14 {
+		t.Fatalf("grandchild check = %v %v, want u=7 w=14", res.Verdict, res.Model())
+	}
+	if res := c2.CheckWith(solver.Options{}, []solver.Constraint{solver.Eq(symx.VarExpr(w), symx.Const(0))}); res.Verdict != solver.Sat {
+		t.Errorf("child sees its grandchild's constraint: %v", res.Verdict)
+	}
+	if res := c2.Check(solver.Options{}); res.Verdict != solver.Sat || res.Model()[u] != 7 {
+		t.Errorf("child check after the grandchild's = %v %v, want u=7", res.Verdict, res.Model())
+	}
+}
+
+// TestSiblingsCheckConcurrently forks siblings of one parent that holds
+// unchecked constraints and has them append and Check at once, the way
+// the search's workers step from one node. Run it under -race.
+func TestSiblingsCheckConcurrently(t *testing.T) {
+	pool := symx.NewPool()
+	s := FromDump(sampleDump(), 20, pool)
+	x, y := pool.Fresh("x"), pool.Fresh("y")
+	s.AddCons(solver.Eq(symx.VarExpr(x), symx.Const(5)))
+	s.AddCons(solver.Ne(symx.VarExpr(x), symx.Const(6)))
+	s.AddCons(solver.Le(symx.VarExpr(y), symx.Const(100)))
+	const siblings = 4
+	var wg sync.WaitGroup
+	for i := 0; i < siblings; i++ {
+		wg.Add(1)
+		go func(i int64) {
+			defer wg.Done()
+			c := s.Clone()
+			for step := int64(0); step < 20; step++ {
+				// Each sibling pins y differently: a sibling that saw another's
+				// constraint would turn Unsat.
+				c.AddCons(solver.Eq(symx.VarExpr(y), symx.Const(i)))
+				res := c.Check(solver.Options{})
+				if res.Verdict != solver.Sat || res.Model()[x] != 5 || res.Model()[y] != i {
+					t.Errorf("sibling %d step %d: %v %v", i, step, res.Verdict, res.Model())
+					return
+				}
+			}
+		}(int64(i))
+	}
+	wg.Wait()
+	if res := s.CheckWith(solver.Options{}, []solver.Constraint{solver.Eq(symx.VarExpr(y), symx.Const(siblings))}); res.Verdict != solver.Sat {
+		t.Errorf("parent sees a sibling's constraint: %v", res.Verdict)
 	}
 }
 

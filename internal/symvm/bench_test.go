@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"res/internal/core"
+	"res/internal/solver"
 	"res/internal/symvm"
 	"res/internal/workload"
 )
@@ -39,7 +40,7 @@ func BenchmarkBackExec(b *testing.B) {
 			for _, pid := range p.ExecPreds(cur) {
 				pred := p.Block(pid)
 				req = symvm.Req{P: p, Post: n.Snap, Tid: tid, StartPC: pred.Start, EndPC: pred.End, SpawnChild: -1}
-				if symvm.BackExec(req, symvm.Options{}).Verdict == symvm.Feasible {
+				if symvm.BackExec(req, solver.Options{}).Verdict == symvm.Feasible {
 					break
 				}
 				req.P = nil
@@ -50,7 +51,7 @@ func BenchmarkBackExec(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if res := symvm.BackExec(req, symvm.Options{}); res.Verdict != symvm.Feasible {
+				if res := symvm.BackExec(req, solver.Options{}); res.Verdict != symvm.Feasible {
 					b.Fatalf("%v: %s", res.Verdict, res.Reason)
 				}
 			}

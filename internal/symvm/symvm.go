@@ -102,22 +102,11 @@ type Req struct {
 	FaultCons func(finalRegs [isa.NumRegs]*symx.Expr) []solver.Constraint
 }
 
-// Options tunes the step.
-type Options struct {
-	Solver solver.Options
-	// DisableProbe skips the register-only pre-pass (pass A) whose forced
-	// bindings resolve stack-pointer-relative and other derived addresses.
-	// Ablation knob: with the pass disabled, blocks that address memory
-	// through havocked registers degrade to Unknown.
-	DisableProbe bool
-}
-
 // Result is the outcome of a backward step.
 type Result struct {
 	Verdict     Verdict
 	Reason      string
 	Pre         *symstate.Snapshot // populated when Feasible
-	FinalRegs   [isa.NumRegs]*symx.Expr
 	Inputs      []InputUse
 	Outputs     []OutputUse
 	Accesses    []MemAccess
@@ -136,7 +125,7 @@ type heapOp struct {
 
 type exec struct {
 	req  Req
-	opt  Options
+	opt  solver.Options
 	pool *symx.Pool
 
 	regs       [isa.NumRegs]*symx.Expr
@@ -171,7 +160,7 @@ type exec struct {
 }
 
 // BackExec performs one backward step.
-func BackExec(req Req, opt Options) *Result {
+func BackExec(req Req, opt solver.Options) *Result {
 	if req.Post.Thread(req.Tid) == nil {
 		return &Result{Verdict: Infeasible, Reason: fmt.Sprintf("thread %d not live", req.Tid)}
 	}
@@ -179,13 +168,9 @@ func BackExec(req Req, opt Options) *Result {
 		// An empty range (fault on a block's first instruction) is a
 		// no-op step: the pre-state is the post-state.
 		r := &Result{Verdict: Feasible, Pre: req.Post.Clone()}
-		t := req.Post.Thread(req.Tid)
-		r.FinalRegs = t.Regs
 		if req.FaultCons != nil {
-			r.Pre.AddCons(req.FaultCons(t.Regs)...)
-			// Check is incremental when the post snapshot carries a solver
-			// session: only the fault constraints are propagated.
-			chk := r.Pre.Check(opt.Solver)
+			r.Pre.AddCons(req.FaultCons(req.Post.Thread(req.Tid).Regs)...)
+			chk := r.Pre.Check(opt)
 			r.SolverCalls++
 			if chk.Verdict == solver.Unsat {
 				return &Result{Verdict: Infeasible, Reason: "fault condition unsatisfiable: " + chk.Reason, SolverCalls: r.SolverCalls}
@@ -198,51 +183,36 @@ func BackExec(req Req, opt Options) *Result {
 	}
 
 	// Pass A: register-only probe to learn forced pre-register bindings
-	// (stack-pointer arithmetic and friends).
-	var (
-		forced      map[symx.Var]int64
-		fresh       []symx.Var
-		preRegVars  map[isa.Reg]symx.Var
-		solverCalls int
-	)
-	if !opt.DisableProbe {
-		probe := newExec(req, opt, true, nil)
-		if res := probe.run(); res != nil {
-			return res
-		}
-		// Incremental against the post snapshot's session when present:
-		// only the probe's own constraints are propagated on top of the
-		// already-solved history.
-		pr := req.Post.CheckWith(opt.Solver, append(probe.postRegCons(), probe.cons...))
-		if pr.Verdict == solver.Unsat {
-			return &Result{Verdict: Infeasible, Reason: "register state contradiction: " + pr.Reason, SolverCalls: probe.solverCalls + 1}
-		}
-		forced, fresh = pr.Forced, pr.NewlyForced
-		preRegVars = probe.preRegVars
-		solverCalls = probe.solverCalls + 1
+	// (stack-pointer arithmetic and friends). Only the probe's own
+	// constraints are propagated on top of the post snapshot's session.
+	probe := newExec(req, opt, true, nil, make(map[isa.Reg]symx.Var))
+	if res := probe.run(); res != nil {
+		return res
+	}
+	pr := req.Post.CheckWith(opt, append(probe.postRegCons(), probe.cons...))
+	if pr.Verdict == solver.Unsat {
+		return &Result{Verdict: Infeasible, Reason: "register state contradiction: " + pr.Reason, SolverCalls: probe.solverCalls + 1}
 	}
 
 	// Pass B: the real execution with forced bindings available for
-	// address resolution.
-	e := newExec(req, opt, false, forced)
-	e.fresh = fresh
-	if preRegVars != nil {
-		e.preRegVars = preRegVars // share pre-register symbols across passes
-	}
-	e.initRegs()
-	e.solverCalls = solverCalls
+	// address resolution. It shares the probe's pre-register symbols.
+	e := newExec(req, opt, false, pr.Forced, probe.preRegVars)
+	e.fresh = pr.NewlyForced
+	e.solverCalls = probe.solverCalls + 1
 	if res := e.run(); res != nil {
 		return res
 	}
 	return e.finish()
 }
 
-func newExec(req Req, opt Options, probe bool, forced map[symx.Var]int64) *exec {
+// newExec prepares one pass over the range, with its pre-state register
+// file built over preRegVars.
+func newExec(req Req, opt solver.Options, probe bool, forced map[symx.Var]int64, preRegVars map[isa.Reg]symx.Var) *exec {
 	e := &exec{
 		req:        req,
 		opt:        opt,
 		pool:       req.Post.Pool,
-		preRegVars: make(map[isa.Reg]symx.Var),
+		preRegVars: preRegVars,
 		writeSet:   make(map[isa.Reg]bool),
 		writes:     make(map[uint32]*symx.Expr),
 		preMem:     make(map[uint32]symx.Var),
@@ -255,9 +225,7 @@ func newExec(req Req, opt Options, probe bool, forced map[symx.Var]int64) *exec 
 			e.writeSet[r] = true
 		}
 	}
-	if probe {
-		e.initRegs()
-	}
+	e.initRegs()
 	return e
 }
 
@@ -324,9 +292,8 @@ func (e *exec) resolveAddr(x *symx.Expr, pc int) (uint32, *Result) {
 	if e.probe {
 		return 0, e.fail(Unknown, "probe: symbolic address at pc %d", pc)
 	}
-	// Uniqueness resolution against the accumulated constraints,
-	// incremental over the post snapshot's session when present.
-	r1 := e.req.Post.CheckWith(e.opt.Solver, e.cons)
+	// Uniqueness resolution against the accumulated constraints.
+	r1 := e.req.Post.CheckWith(e.opt, e.cons)
 	e.solverCalls++
 	if r1.Verdict == solver.Unsat {
 		return 0, e.fail(Infeasible, "pc %d: path constraints unsatisfiable while resolving address", pc)
@@ -339,7 +306,7 @@ func (e *exec) resolveAddr(x *symx.Expr, pc int) (uint32, *Result) {
 		return 0, e.fail(Unknown, "pc %d: address evaluation failed", pc)
 	}
 	ne := append(append([]solver.Constraint(nil), e.cons...), solver.Ne(x, symx.Const(v1)))
-	r2 := e.req.Post.CheckWith(e.opt.Solver, ne)
+	r2 := e.req.Post.CheckWith(e.opt, ne)
 	e.solverCalls++
 	if r2.Verdict != solver.Unsat {
 		return 0, e.fail(Unknown, "pc %d: ambiguous symbolic address %s", pc, x)
@@ -796,13 +763,12 @@ func (e *exec) finish() *Result {
 		}
 	}
 
-	// Build Spre as a copy-on-write layer and check the added constraints.
-	// With a session on post this propagates only `added`; without one it
-	// falls back to a from-scratch solve of the flattened chain.
+	// Build Spre as a copy-on-write layer and check the added constraints:
+	// the check propagates only `added` on top of post's session.
 	pre := post.Clone()
 	pre.Depth++
 	pre.AddCons(added...)
-	chk := pre.Check(e.opt.Solver)
+	chk := pre.Check(e.opt)
 	e.solverCalls++
 	switch chk.Verdict {
 	case solver.Unsat:
@@ -848,7 +814,6 @@ func (e *exec) finish() *Result {
 	return &Result{
 		Verdict:     Feasible,
 		Pre:         pre,
-		FinalRegs:   e.regs,
 		Inputs:      e.inputs,
 		Outputs:     e.outputs,
 		Accesses:    e.access,

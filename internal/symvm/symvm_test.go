@@ -34,7 +34,7 @@ func backExec(t *testing.T, p *prog.Program, post *symstate.Snapshot, tid, start
 	t.Helper()
 	return symvm.BackExec(symvm.Req{
 		P: p, Post: post, Tid: tid, StartPC: start, EndPC: end, SpawnChild: -1,
-	}, symvm.Options{})
+	}, solver.Options{})
 }
 
 func TestHavocAndPassThrough(t *testing.T) {
@@ -140,7 +140,7 @@ end:
 		t.Fatalf("inputs = %v", entry.Inputs)
 	}
 	// Solve and confirm the input model is non-zero (took the branch).
-	chk := solver.Check(entry.Pre.Cons(), solver.Options{})
+	chk := entry.Pre.CheckWith(solver.Options{}, nil)
 	if chk.Verdict != solver.Sat {
 		t.Fatalf("pre constraints unsat")
 	}
@@ -172,7 +172,7 @@ func main:
 		t.Fatalf("%v: %s", res.Verdict, res.Reason)
 	}
 	// Solving the pre constraints must pin the pre-value of g to 0.
-	chk := solver.Check(res.Pre.Cons(), solver.Options{})
+	chk := res.Pre.CheckWith(solver.Options{}, nil)
 	if chk.Verdict != solver.Sat {
 		t.Fatal("unsat")
 	}
@@ -202,7 +202,7 @@ func worker:
 	base := symvm.BackExec(symvm.Req{
 		P: p, Post: snap, Tid: d.Fault.Thread,
 		StartPC: blk.Start, EndPC: d.Fault.PC, Partial: true, SpawnChild: -1,
-	}, symvm.Options{})
+	}, solver.Options{})
 	if base.Verdict != symvm.Feasible {
 		t.Fatalf("base: %v %s", base.Verdict, base.Reason)
 	}
@@ -215,7 +215,7 @@ func worker:
 	res := symvm.BackExec(symvm.Req{
 		P: p, Post: base.Pre, Tid: 0,
 		StartPC: sb.Start, EndPC: sb.End, SpawnChild: 1,
-	}, symvm.Options{})
+	}, solver.Options{})
 	if res.Verdict != symvm.Feasible {
 		t.Fatalf("spawn unwind: %v %s", res.Verdict, res.Reason)
 	}
@@ -252,7 +252,7 @@ func worker:
 	res := symvm.BackExec(symvm.Req{
 		P: p, Post: snap, Tid: 1,
 		StartPC: blk.Start, EndPC: blk.End, HaltStep: true, SpawnChild: -1,
-	}, symvm.Options{})
+	}, solver.Options{})
 	if res.Verdict != symvm.Feasible {
 		t.Fatalf("halt unwind: %v %s", res.Verdict, res.Reason)
 	}
@@ -283,7 +283,7 @@ func main:
 	// pre-value of a is read before any write, so it equals the dump's 0,
 	// contradicting the side constraint divisor != 0.
 	if res.Verdict == symvm.Feasible {
-		chk := solver.Check(res.Pre.Cons(), solver.Options{})
+		chk := res.Pre.CheckWith(solver.Options{}, nil)
 		if chk.Verdict == solver.Sat {
 			t.Fatalf("division by zero accepted as feasible")
 		}
@@ -369,7 +369,7 @@ b:
 		FaultCons: func(regs [16]*symx.Expr) []solver.Constraint {
 			return []solver.Constraint{solver.Eq(regs[1], symx.Const(0))}
 		},
-	}, symvm.Options{})
+	}, solver.Options{})
 	if res.Verdict != symvm.Feasible {
 		t.Fatalf("%v: %s", res.Verdict, res.Reason)
 	}
