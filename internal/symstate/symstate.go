@@ -154,14 +154,13 @@ func FromDump(d *coredump.Dump, heapBase uint32, pool *symx.Pool) *Snapshot {
 // child sees every constraint s holds now; constraints appended to s later
 // are invisible to the child.
 func (s *Snapshot) Clone() *Snapshot {
-	n := len(s.pending)
 	return &Snapshot{
 		Pool:     s.Pool,
 		Base:     s.Base,
 		parent:   s,
 		tids:     s.tids,
 		sess:     s.sess,
-		pending:  s.pending[:n:n],
+		pending:  slices.Clip(s.pending),
 		Heap:     s.Heap,
 		HeapNext: s.HeapNext,
 		Depth:    s.Depth,
