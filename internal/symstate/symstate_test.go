@@ -165,6 +165,77 @@ func TestFingerprintDiscriminates(t *testing.T) {
 	}
 }
 
+// TestFingerprintLockHistory: the fingerprint reads the effective lock
+// table, not the layers that wrote it. Equal tables reached through
+// different histories fingerprint equal; a different owner or a
+// different held set fingerprints differently.
+func TestFingerprintLockHistory(t *testing.T) {
+	pool := symx.NewPool()
+	s := FromDump(sampleDump(), 20, pool) // lock 50 held by thread 0
+	want := s.Clone().Fingerprint()
+
+	setThenDelete := s.Clone()
+	setThenDelete.SetLock(60, 1)
+	setThenDelete = setThenDelete.Clone()
+	setThenDelete.DeleteLock(60)
+
+	sameLayer := s.Clone()
+	sameLayer.SetLock(60, 1)
+	sameLayer.DeleteLock(60)
+	sameLayer.DeleteLock(61) // never held
+
+	ownerBack := s.Clone()
+	ownerBack.SetLock(50, 1)
+	ownerBack = ownerBack.Clone()
+	ownerBack.SetLock(50, 0)
+
+	reacquired := s.Clone()
+	reacquired.DeleteLock(50)
+	reacquired = reacquired.Clone()
+	reacquired.SetLock(50, 0)
+
+	for name, c := range map[string]*Snapshot{
+		"set then delete in a child":  setThenDelete,
+		"set then delete in a layer":  sameLayer,
+		"owner replaced and restored": ownerBack,
+		"released and reacquired":     reacquired,
+	} {
+		if got := c.Fingerprint(); got != want {
+			t.Errorf("%s: fingerprint %x, want %x", name, got, want)
+		}
+	}
+
+	layered := s.Clone()
+	layered.SetLock(60, 1)
+	layered = layered.Clone()
+	layered.SetLock(61, 0)
+	flat := s.Clone()
+	flat.SetLock(61, 0)
+	flat.SetLock(60, 1)
+	if layered.Fingerprint() != flat.Fingerprint() {
+		t.Error("equal lock tables written in different orders fingerprint differently")
+	}
+
+	otherOwner := s.Clone()
+	otherOwner.SetLock(50, 1)
+	released := s.Clone()
+	released.DeleteLock(50)
+	extra := s.Clone()
+	extra.SetLock(60, 0)
+	seen := map[uint64]string{want: "dump", layered.Fingerprint(): "two more held"}
+	for name, c := range map[string]*Snapshot{
+		"other owner": otherOwner,
+		"released":    released,
+		"one more":    extra,
+	} {
+		fp := c.Fingerprint()
+		if prev, dup := seen[fp]; dup {
+			t.Errorf("%s fingerprints as %s", name, prev)
+		}
+		seen[fp] = name
+	}
+}
+
 func TestSessionIncrementalCheck(t *testing.T) {
 	pool := symx.NewPool()
 	s := FromDump(sampleDump(), 20, pool)
