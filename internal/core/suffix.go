@@ -18,7 +18,6 @@ import (
 type Synthesized struct {
 	Node   *Node
 	Suffix *trace.Suffix
-	Model  symx.Model
 
 	// The reconstructed pre-state Mi. PreMem is a View of the dump's
 	// image with the words the suffix reasoned about stored in it: it
@@ -47,7 +46,9 @@ func (e *Engine) Concretize(n *Node, d *coredump.Dump) (*Synthesized, error) {
 	if res.Verdict != solver.Sat {
 		return nil, fmt.Errorf("core: node constraints not solvable: %v (%s)", res.Verdict, res.Reason)
 	}
-	model := res.Model()
+	// One resolver for the whole suffix: a definition that several inputs,
+	// words and registers share is resolved once.
+	eval := res.Evaluator()
 
 	suffix := &trace.Suffix{
 		EndPC:    d.Fault.PC,
@@ -66,7 +67,7 @@ func (e *Engine) Concretize(n *Node, d *coredump.Dump) (*Synthesized, error) {
 			suffix.Inputs = append(suffix.Inputs, trace.InputRec{
 				Tid:     s.Tid,
 				Channel: iu.Channel,
-				Value:   model[iu.Var],
+				Value:   value(eval, iu.Var),
 			})
 		}
 		for _, a := range s.Accesses {
@@ -81,8 +82,7 @@ func (e *Engine) Concretize(n *Node, d *coredump.Dump) (*Synthesized, error) {
 	syn := &Synthesized{
 		Node:        n,
 		Suffix:      suffix,
-		Model:       model,
-		PreMem:      n.Snap.ConcretizeMem(model),
+		PreMem:      n.Snap.ConcretizeMem(eval),
 		PreRegs:     make(map[int][isa.NumRegs]int64),
 		PreStates:   make(map[int]coredump.ThreadState),
 		PreLocks:    make(map[uint32]int),
@@ -90,7 +90,7 @@ func (e *Engine) Concretize(n *Node, d *coredump.Dump) (*Synthesized, error) {
 		PreHeapNext: n.Snap.HeapNext,
 	}
 	for _, tid := range n.Snap.ThreadIDs() {
-		regs, err := n.Snap.ConcretizeRegs(tid, model)
+		regs, err := n.Snap.ConcretizeRegs(tid, eval)
 		if err != nil {
 			return nil, err
 		}
@@ -109,6 +109,12 @@ func (e *Engine) Concretize(n *Node, d *coredump.Dump) (*Synthesized, error) {
 	slices.Sort(syn.ReadSet)
 	slices.Sort(syn.WriteSet)
 	return syn, nil
+}
+
+// value reads v under eval; a variable without a value reads 0.
+func value(eval func(*symx.Expr) (int64, bool), v symx.Var) int64 {
+	x, _ := eval(symx.VarExpr(v))
+	return x
 }
 
 // Describe renders a synthesized suffix for human consumption.

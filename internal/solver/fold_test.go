@@ -12,8 +12,13 @@ import (
 
 // forcedOf reads the value propagation forced on v in r.
 func forcedOf(r Result, v symx.Var) (int64, bool) {
-	c, ok := r.Forced[v]
-	return c, ok
+	return r.Forced(v)
+}
+
+// folded reports whether s holds all its bindings in its shared base:
+// the check that made it folded them, or it has bound nothing since.
+func folded(s *Session) bool {
+	return len(s.st.bindings.own) == 0 && len(s.st.bindings.base) > 0
 }
 
 // chainGen draws the steps of a long session: each step binds new
@@ -239,17 +244,21 @@ func forcedSet(r Result, nvars int) map[symx.Var]bool {
 // random bindings, definitions, order constraints and residual
 // disequalities, and holds every check to Check over the concatenation:
 // the verdict, the forced value of every variable, the order of the newly
-// forced ones and the model. Every few steps three siblings fork from the
-// current session and each checks a step and a grandchild step of its
-// own; one step in twenty contradicts itself and is dropped.
+// forced ones and the model. Every few steps, and after every fold, three
+// siblings fork from the current session and each checks a step and a
+// grandchild step of its own; one step in twenty contradicts itself and
+// is dropped. The session must fold many times on the way.
 func TestSessionFoldMatchesCheck(t *testing.T) {
 	g := newChainGen(23)
 	sess := NewSession()
 	var all []Constraint
 	parentForced := map[symx.Var]bool{}
-	steps, unsat, siblings, search := 0, 0, 0, 0
+	steps, unsat, siblings, search, folds, foldedParents := 0, 0, 0, 0, 0, 0
 	for steps < 300 {
-		if steps%7 == 3 {
+		if steps%7 == 3 || folded(sess) {
+			if folded(sess) {
+				foldedParents++
+			}
 			for k := 0; k < 3; k++ {
 				sg := g.clone()
 				cs := sg.step(false)
@@ -285,26 +294,30 @@ func TestSessionFoldMatchesCheck(t *testing.T) {
 		if res.ModelsTried > 0 {
 			search++
 		}
+		if folded(child) && len(sess.st.bindings.own) > 0 {
+			folds++
+		}
 		g, sess, all = next, child, append(all, cs...)
 		parentForced = forcedSet(want, len(g.vars))
 		steps++
 	}
-	if unsat == 0 || search == 0 || siblings < 100 {
-		t.Fatalf("%d contradicting steps, %d steps searched, %d siblings", unsat, search, siblings)
+	if unsat == 0 || search == 0 || siblings < 100 || folds < 10 || foldedParents < 10 {
+		t.Fatalf("%d contradicting steps, %d steps searched, %d siblings, %d folds, %d folded parents",
+			unsat, search, siblings, folds, foldedParents)
 	}
-	t.Logf("%d steps over %d variables and %d constraints: %d contradicting steps dropped, %d searched, %d siblings",
-		steps, len(g.vars), len(all), unsat, search, siblings)
+	t.Logf("%d steps over %d variables and %d constraints: %d contradicting steps dropped, %d searched, %d siblings, %d folds, %d folded parents",
+		steps, len(g.vars), len(all), unsat, search, siblings, folds, foldedParents)
 }
 
-// TestFoldedSessionConcurrent extends and checks one deep session from 8
-// goroutines at once, each with a step of its own and a grandchild step,
-// and holds every result to the one a lone caller got. Run it under
+// TestFoldedSessionConcurrent extends and checks one deep, folded session
+// from 8 goroutines at once, each with a step of its own and a grandchild
+// step, and holds every result to the one a lone caller got. Run it under
 // -race: the session's propagated state is shared read-only by every
 // check forked from it.
 func TestFoldedSessionConcurrent(t *testing.T) {
 	g := newChainGen(31)
 	sess := NewSession()
-	for steps := 0; steps < 150; {
+	for steps := 0; steps < 150 || !folded(sess); {
 		next := g.clone()
 		res, child := sess.Extend(next.step(false), Options{})
 		if res.Verdict == Unsat {

@@ -67,13 +67,23 @@ func buildModelRef(bindings map[symx.Var]int64, defs []refDef, search symx.Model
 }
 
 // orderedDefs lists a state's definitions in definition order.
-func orderedDefs(defs map[symx.Var]def) []refDef {
-	out := make([]refDef, 0, len(defs))
-	for v, d := range defs {
-		out = append(out, refDef{v: v, e: d.e})
-	}
-	slices.SortFunc(out, func(a, b refDef) int { return defs[a.v].idx - defs[b.v].idx })
+func orderedDefs(defs layered[def]) []refDef {
+	var out []refDef
+	defs.all(func(v symx.Var, d def) { out = append(out, refDef{v: v, e: d.e}) })
+	slices.SortFunc(out, func(a, b refDef) int { return defs.at(a.v).idx - defs.at(b.v).idx })
 	return out
+}
+
+// flat lists a layered map's variables and values in one map.
+func flat[V any](l layered[V]) map[symx.Var]V {
+	out := make(map[symx.Var]V, l.n)
+	l.all(func(v symx.Var, x V) { out[v] = x })
+	return out
+}
+
+// baseOf is a layered map whose base holds m.
+func baseOf[V any](m map[symx.Var]V) layered[V] {
+	return layered[V]{base: m, n: len(m)}
 }
 
 // randSystem draws a conjunction of at most maxCons constraints over
@@ -121,17 +131,15 @@ func TestResolverMatchesBuildModel(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		cs := randSystem(rng, 8, 7)
 		s := &state{
-			opt:       DefaultOptions(),
-			pending:   append([]Constraint(nil), cs...),
-			bindings:  make(map[symx.Var]int64),
-			intervals: make(map[symx.Var]interval),
+			opt:     DefaultOptions(),
+			pending: append([]Constraint(nil), cs...),
 		}
 		res := s.solve()
 		if res.model == nil {
 			continue
 		}
 		systems++
-		want := buildModelRef(s.bindings, orderedDefs(s.defs), res.model.search)
+		want := buildModelRef(flat(s.bindings), orderedDefs(s.defs), res.model.search)
 		got := res.Model()
 		if len(got) != len(want) {
 			t.Fatalf("system %d %s: model %v, want %v", i, String(cs), got, want)
@@ -148,11 +156,11 @@ func TestResolverMatchesBuildModel(t *testing.T) {
 			compared++
 		}
 		rv := resolver{m: res.model}
-		for v := range s.defs {
+		s.defs.all(func(v symx.Var, _ def) {
 			if r := rv.value(v); r.set && !r.grounded {
 				ungrounded++
 			}
-		}
+		})
 		for _, c := range cs {
 			wh, wd := c.Holds(want)
 			if gh, gd := rv.holds(c); gh != wh || gd != wd {
@@ -171,21 +179,21 @@ func TestResolverMatchesBuildModel(t *testing.T) {
 func TestResolverDefinitionOrder(t *testing.T) {
 	v := func(i uint32) *symx.Expr { return symx.VarExpr(symx.Var(i)) }
 	m := &model{
-		bindings: map[symx.Var]int64{9: 3},
-		defs: map[symx.Var]def{
+		bindings: baseOf(map[symx.Var]int64{9: 3}),
+		defs: baseOf(map[symx.Var]def{
 			0: {e: symx.Binary(symx.OpAdd, v(1), symx.Const(1)), idx: 0}, // reads v1 after it: 0
 			1: {e: symx.Binary(symx.OpAdd, v(2), symx.Const(5)), idx: 1}, // v2 is free: 5
 			3: {e: symx.Binary(symx.OpAdd, v(1), v(9)), idx: 2},          // reads v1 before it: 8
 			4: {e: symx.Binary(symx.OpDiv, v(9), symx.Const(0)), idx: 3}, // no value
 			5: {e: symx.Binary(symx.OpMul, v(9), symx.Const(2)), idx: 4}, // grounded: 6
-		},
+		}),
 	}
 	want := symx.Model{9: 3, 0: 1, 1: 5, 3: 8, 5: 6}
 	got := (Result{model: m}).Model()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("model %v, want %v", got, want)
 	}
-	ref := buildModelRef(m.bindings, orderedDefs(m.defs), nil)
+	ref := buildModelRef(flat(m.bindings), orderedDefs(m.defs), nil)
 	if fmt.Sprint(ref) != fmt.Sprint(want) {
 		t.Fatalf("reference %v, want %v", ref, want)
 	}
@@ -226,9 +234,13 @@ func TestDefinitionCycleRejected(t *testing.T) {
 }
 
 // TestSessionConcurrentForced extends and checks one session from many
-// goroutines while each reads the shared Forced map of its own result and
+// goroutines while each reads the forced bindings of its own result and
 // of the parent's: the maps are only ever read once a solve returns.
 func TestSessionConcurrentForced(t *testing.T) {
+	forced := func(r Result, v symx.Var) int64 {
+		c, _ := r.Forced(v)
+		return c
+	}
 	v := func(i uint32) *symx.Expr { return symx.VarExpr(symx.Var(i)) }
 	base := []Constraint{Eq(v(0), symx.Const(9)), Eq(v(1), symx.Binary(symx.OpAdd, v(0), symx.Const(1)))}
 	parent, sess := NewSession().Extend(base, Options{})
@@ -244,18 +256,18 @@ func TestSessionConcurrentForced(t *testing.T) {
 			} else {
 				var child *Session
 				res, child = sess.Extend(delta, Options{})
-				if r := child.CheckWith(nil, Options{}); r.Forced[2] != int64(10+g) {
-					t.Errorf("goroutine %d: child forced %v", g, r.Forced)
+				if r := child.CheckWith(nil, Options{}); forced(r, 2) != int64(10+g) {
+					t.Errorf("goroutine %d: child forced %v", g, flat(r.forced))
 				}
 			}
-			if res.Forced[0] != 9 || res.Forced[1] != 10 || res.Forced[2] != int64(10+g) {
-				t.Errorf("goroutine %d: forced %v", g, res.Forced)
+			if forced(res, 0) != 9 || forced(res, 1) != 10 || forced(res, 2) != int64(10+g) {
+				t.Errorf("goroutine %d: forced %v", g, flat(res.forced))
 			}
 			if len(res.NewlyForced) != 1 || res.NewlyForced[0] != 2 {
 				t.Errorf("goroutine %d: newly forced %v", g, res.NewlyForced)
 			}
-			if parent.Forced[1] != 10 || len(parent.Forced) != 2 {
-				t.Errorf("goroutine %d: parent forced %v", g, parent.Forced)
+			if forced(parent, 1) != 10 || parent.forced.n != 2 {
+				t.Errorf("goroutine %d: parent forced %v", g, flat(parent.forced))
 			}
 			if x, ok := res.Eval(v(2)); !ok || x != int64(10+g) {
 				t.Errorf("goroutine %d: Eval(v2) = %d, %v", g, x, ok)

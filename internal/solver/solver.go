@@ -13,18 +13,28 @@
 // verdicts always carry a model that has been checked against the
 // original constraints), Unknown is the honest fallback.
 //
-// A Result costs what its reader reads. Result.Forced is the solved
-// state's own binding map, shared with the Session that Extend returns,
-// so it is read-only. The model is resolved on demand: Result.Eval
-// resolves only the variables of one expression, Result.Model builds the
-// whole assignment, and the Sat recheck resolves the variables of the
-// constraints it checks, all by one rule and to the same values.
+// A check costs the constraints it adds. A propagated state keeps its
+// bindings, intervals and definitions in two levels: a base it shares
+// read-only with the session it forked from, and its own writes. A check
+// copies only the own level, and a session that keeps a state folds that
+// level into a fresh base once it outgrows a fixed share of the base, so
+// a read stays at two probes. A fold builds new maps; no map is written
+// once another state, Result or model can read it.
+//
+// A Result costs what its reader reads. Result.Forced looks a variable
+// up in the solved state's bindings. The model is resolved on demand:
+// Result.Eval resolves only the variables of one expression,
+// Result.Evaluator does the same for many expressions over one memo,
+// Result.Model builds the whole assignment, and the Sat recheck resolves
+// the variables of the constraints it checks, all by one rule and to the
+// same values.
 package solver
 
 import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -159,23 +169,26 @@ func DefaultOptions() Options {
 // Result carries the verdict, a model when Sat, and effort statistics.
 type Result struct {
 	Verdict Verdict
-	// Forced holds the variable assignments that are logical consequences
-	// of the constraint set (derived by propagation, not search). Unlike
-	// model values, these hold in EVERY satisfying assignment, so callers
-	// may substitute them without losing solutions. Populated for Sat and
-	// Unknown verdicts. It is the checked state's own map, shared with the
-	// session Extend returns: read it, never write it.
-	Forced map[symx.Var]int64
-	// NewlyForced lists the variables of Forced that this check bound, in
-	// the order propagation bound them: for a Session check, the ones its
-	// base did not already bind; for Check, all of them.
+	// NewlyForced lists the variables Forced reports that this check
+	// bound, in the order propagation bound them: for a Session check, the
+	// ones its base did not already bind; for Check, all of them.
 	NewlyForced []symx.Var
 	// Stats
 	PropagationRounds int
 	ModelsTried       int
 	Reason            string // human-readable explanation for Unsat/Unknown
 
-	model *model // the Sat assignment, resolved where it is read
+	forced layered[int64] // the checked state's bindings
+	model  *model         // the Sat assignment, resolved where it is read
+}
+
+// Forced reports the value propagation bound v to, if it did. A forced
+// value is a logical consequence of the constraint set (derived by
+// propagation, not search): unlike a model value it holds in EVERY
+// satisfying assignment, so a caller may substitute it without losing
+// solutions. Nothing is forced for an Unsat verdict.
+func (r Result) Forced(v symx.Var) (int64, bool) {
+	return r.forced.get(v)
 }
 
 // Model returns the satisfying assignment of a Sat result, nil otherwise.
@@ -197,6 +210,18 @@ func (r Result) Eval(e *symx.Expr) (int64, bool) {
 	}
 	rv := resolver{m: r.model}
 	return rv.eval(e, -1)
+}
+
+// Evaluator returns Eval for a reader of many expressions: the function
+// it returns remembers the definitions it has resolved across calls, so
+// a definition that several expressions share is resolved once. It is nil
+// when the verdict is not Sat, and not safe for concurrent use.
+func (r Result) Evaluator() func(*symx.Expr) (int64, bool) {
+	if r.model == nil {
+		return nil
+	}
+	rv := &resolver{m: r.model}
+	return func(e *symx.Expr) (int64, bool) { return rv.eval(e, -1) }
 }
 
 // normalize fills zero option fields with the package defaults.
@@ -221,14 +246,7 @@ func Check(cs []Constraint, opt Options) Result {
 	if opt.Observe != nil {
 		t0 = time.Now()
 	}
-	s := &state{
-		opt:       opt.normalize(),
-		bindings:  make(map[symx.Var]int64),
-		intervals: make(map[symx.Var]interval),
-	}
-	for _, c := range cs {
-		s.pending = append(s.pending, c)
-	}
+	s := &state{opt: opt.normalize(), pending: slices.Clone(cs)}
 	res := finishResult(s, s.solve(), cs)
 	if opt.Observe != nil {
 		opt.Observe(time.Since(t0), res.Verdict)
@@ -243,7 +261,7 @@ func Check(cs []Constraint, opt Options) Result {
 // constraints hold by construction under the bindings the model carries).
 func finishResult(s *state, res Result, recheck []Constraint) Result {
 	if res.Verdict != Unsat {
-		res.Forced = s.bindings
+		res.forced = s.bindings
 		res.NewlyForced = s.fresh
 	}
 	if res.Verdict == Sat {
@@ -261,16 +279,17 @@ func finishResult(s *state, res Result, recheck []Constraint) Result {
 	return res
 }
 
-// clone copies the propagated state (bindings, intervals, definitions,
+// clone forks the propagated state (bindings, intervals, definitions,
 // residual pending constraints) so a child solve can extend it without
-// touching the parent. Search bookkeeping starts fresh.
+// touching the parent: the child shares the parent's base maps and copies
+// only its own writes. Search bookkeeping starts fresh.
 func (s *state) clone() *state {
 	return &state{
 		opt:       s.opt,
-		pending:   append([]Constraint(nil), s.pending...),
-		bindings:  maps.Clone(s.bindings),
-		defs:      maps.Clone(s.defs),
-		intervals: maps.Clone(s.intervals),
+		pending:   slices.Clone(s.pending),
+		bindings:  s.bindings.clone(),
+		defs:      s.defs.clone(),
+		intervals: s.intervals.clone(),
 	}
 }
 
@@ -284,8 +303,9 @@ func (s *state) clone() *state {
 // history.
 //
 // Sessions are immutable after construction and safe for concurrent use:
-// CheckWith and Extend clone the propagated state before mutating it, so
-// any number of goroutines may extend one parent session simultaneously.
+// CheckWith and Extend fork the propagated state before mutating it,
+// writing only the fork's own maps, so any number of goroutines may extend
+// one parent session simultaneously.
 //
 // Verdict parity with Check: propagation is monotone and runs to fixpoint
 // over the same constraints in the same order (base first, added after —
@@ -300,12 +320,7 @@ type Session struct {
 
 // NewSession returns the empty session (no base constraints).
 func NewSession() *Session {
-	return &Session{
-		st: &state{
-			bindings:  make(map[symx.Var]int64),
-			intervals: make(map[symx.Var]interval),
-		},
-	}
+	return &Session{st: &state{}}
 }
 
 // CheckWith decides base ∧ added under opt, reusing the session's
@@ -334,7 +349,7 @@ func (s *Session) extend(added []Constraint, opt Options, keep bool) (Result, *S
 	}
 	st := s.st.clone()
 	st.opt = opt.normalize()
-	recheck := append(append([]Constraint(nil), st.pending...), added...)
+	recheck := slices.Concat(st.pending, added)
 	st.pending = append(st.pending, added...)
 	res := finishResult(st, st.solve(), recheck)
 	if opt.Observe != nil {
@@ -348,8 +363,10 @@ func (s *Session) extend(added []Constraint, opt Options, keep bool) (Result, *S
 		child.unsat, child.reason = true, res.Reason
 	} else {
 		// The search phases only touch bookkeeping, but clear it so the
-		// retained state is a pure propagation snapshot.
-		st.tried, st.rounds, st.enumComplete, st.interrupted = 0, 0, false, false
+		// retained state is a pure propagation snapshot. Folding builds new
+		// maps: res and its model keep reading the ones they hold.
+		st.tried, st.rounds, st.enumComplete, st.interrupted, st.fresh = 0, 0, false, false, nil
+		st.bindings, st.defs, st.intervals = st.bindings.fold(), st.defs.fold(), st.intervals.fold()
 	}
 	return res, child
 }
@@ -376,12 +393,83 @@ type def struct {
 	idx int
 }
 
+// Fold thresholds: a kept session folds a map's own writes into a new
+// base once they number more than foldMin and more than 1/foldShare of
+// the base. Between folds a fork copies at most that share; each fold
+// copies the whole map, once per that many writes.
+const (
+	foldMin   = 8
+	foldShare = 8
+)
+
+// layered is a map in two levels: base, shared read-only with the states
+// forked from the same session, and own, this state's writes since. n
+// counts the distinct variables over both. A read probes own, then base.
+type layered[V any] struct {
+	base, own map[symx.Var]V
+	n         int
+}
+
+func (l *layered[V]) get(v symx.Var) (V, bool) {
+	if x, ok := l.own[v]; ok {
+		return x, true
+	}
+	x, ok := l.base[v]
+	return x, ok
+}
+
+// at is get without the flag: the zero value for an absent variable.
+func (l *layered[V]) at(v symx.Var) V {
+	x, _ := l.get(v)
+	return x
+}
+
+func (l *layered[V]) set(v symx.Var, x V) {
+	if _, ok := l.get(v); !ok {
+		l.n++
+	}
+	if l.own == nil {
+		l.own = make(map[symx.Var]V)
+	}
+	l.own[v] = x
+}
+
+// clone returns a fork of l: the same base and a copy of own.
+func (l layered[V]) clone() layered[V] {
+	l.own = maps.Clone(l.own)
+	return l
+}
+
+// fold returns l with own merged into a new base once own has outgrown
+// its share of the base, and l itself otherwise.
+func (l layered[V]) fold() layered[V] {
+	if len(l.own) <= foldMin || len(l.own)*foldShare <= len(l.base) {
+		return l
+	}
+	base := make(map[symx.Var]V, l.n)
+	maps.Copy(base, l.base)
+	maps.Copy(base, l.own)
+	return layered[V]{base: base, n: l.n}
+}
+
+// all visits every variable once, with its value.
+func (l *layered[V]) all(f func(symx.Var, V)) {
+	for v, x := range l.own {
+		f(v, x)
+	}
+	for v, x := range l.base {
+		if _, shadowed := l.own[v]; !shadowed {
+			f(v, x)
+		}
+	}
+}
+
 type state struct {
 	opt       Options
 	pending   []Constraint
-	bindings  map[symx.Var]int64 // concrete assignments discovered
-	defs      map[symx.Var]def   // at most one definition per variable; nil until the first
-	intervals map[symx.Var]interval
+	bindings  layered[int64] // concrete assignments discovered
+	defs      layered[def]   // at most one definition per variable
+	intervals layered[interval]
 	// fresh lists the variables this solve bound that the state it was
 	// cloned from (if any) did not, in binding order.
 	fresh  []symx.Var
@@ -525,7 +613,7 @@ func (s *state) step(c Constraint) (stepStatus, []Constraint, string) {
 		// x != c with x bound elsewhere handled by substitution; otherwise
 		// keep for the search phase (and singleton-interval refutation).
 		if v, ok := c.L.IsVar(); ok && rok {
-			if single, isSingle := s.intervals[v].singleton(); isSingle && single == rc {
+			if single, isSingle := s.intervals.at(v).singleton(); isSingle && single == rc {
 				return stepUnsat, nil, fmt.Sprintf("v%d pinned to %d but must differ", uint32(v), rc)
 			}
 		}
@@ -667,12 +755,12 @@ func modInverse(a uint64) uint64 {
 // simplifies).
 func (s *state) bindOrDefine(v symx.Var, e *symx.Expr) (stepStatus, []Constraint, string) {
 	if c, ok := e.IsConst(); ok {
-		if iv, okIV := s.intervals[v]; okIV {
+		if iv, okIV := s.intervals.get(v); okIV {
 			if (iv.hasLo && c < iv.lo) || (iv.hasHi && c > iv.hi) {
 				return stepUnsat, nil, fmt.Sprintf("binding v%d=%d violates interval", uint32(v), c)
 			}
 		}
-		if old, bound := s.bindings[v]; bound {
+		if old, bound := s.bindings.get(v); bound {
 			if old != c {
 				return stepUnsat, nil, fmt.Sprintf("v%d bound to both %d and %d", uint32(v), old, c)
 			}
@@ -688,18 +776,15 @@ func (s *state) bindOrDefine(v symx.Var, e *symx.Expr) (stepStatus, []Constraint
 	}
 	// Avoid duplicate definitions for the same variable: keep the first,
 	// and turn the rest into equations between the definitions.
-	if d, ok := s.defs[v]; ok {
+	if d, ok := s.defs.get(v); ok {
 		return stepRewritten, []Constraint{Eq(d.e, e)}, ""
 	}
-	if s.defs == nil {
-		s.defs = make(map[symx.Var]def)
-	}
-	s.defs[v] = def{e: e, idx: len(s.defs)}
+	s.defs.set(v, def{e: e, idx: s.defs.n})
 	// Transfer v's narrowed interval onto the definition: substitution
 	// erases v from the system, so without this v ∈ [lo,hi] (knowledge
 	// discharged from earlier order constraints) would be lost and a
 	// model could assign e a value outside it.
-	if iv, ok := s.intervals[v]; ok {
+	if iv, ok := s.intervals.get(v); ok {
 		var out []Constraint
 		if iv.hasLo {
 			out = append(out, Le(symx.Const(iv.lo), e))
@@ -729,7 +814,7 @@ func (s *state) reaches(v symx.Var, e *symx.Expr, seen *map[symx.Var]bool) bool 
 		if u == v {
 			return true
 		}
-		d, ok := s.defs[u]
+		d, ok := s.defs.get(u)
 		if !ok || (*seen)[u] {
 			return false
 		}
@@ -741,12 +826,13 @@ func (s *state) reaches(v symx.Var, e *symx.Expr, seen *map[symx.Var]bool) bool 
 	})
 }
 
-// bind records the binding v = c.
+// bind records the binding v = c. Its callers have checked that v is
+// unbound or already bound to c.
 func (s *state) bind(v symx.Var, c int64) {
-	if _, ok := s.bindings[v]; !ok {
+	if _, ok := s.bindings.get(v); !ok {
 		s.fresh = append(s.fresh, v)
+		s.bindings.set(v, c)
 	}
-	s.bindings[v] = c
 }
 
 // stepOrder narrows intervals from order constraints with one variable
@@ -789,7 +875,7 @@ const (
 )
 
 func (s *state) narrow(v symx.Var, nv interval) (stepStatus, []Constraint, string) {
-	iv := s.intervals[v]
+	iv := s.intervals.at(v)
 	if nv.hasLo && (!iv.hasLo || nv.lo > iv.lo) {
 		iv.lo, iv.hasLo = nv.lo, true
 	}
@@ -799,15 +885,15 @@ func (s *state) narrow(v symx.Var, nv interval) (stepStatus, []Constraint, strin
 	if iv.empty() {
 		return stepUnsat, nil, fmt.Sprintf("empty interval for v%d", uint32(v))
 	}
-	s.intervals[v] = iv
+	s.intervals.set(v, iv)
 	if c, ok := iv.singleton(); ok {
-		if old, bound := s.bindings[v]; bound && old != c {
+		if old, bound := s.bindings.get(v); bound && old != c {
 			return stepUnsat, nil, fmt.Sprintf("interval pins v%d to %d but it is bound to %d", uint32(v), c, old)
 		}
 		s.bind(v, c)
 	}
 	// Check against existing binding.
-	if c, bound := s.bindings[v]; bound {
+	if c, bound := s.bindings.get(v); bound {
 		if (iv.hasLo && c < iv.lo) || (iv.hasHi && c > iv.hi) {
 			return stepUnsat, nil, fmt.Sprintf("binding v%d=%d outside interval", uint32(v), c)
 		}
@@ -818,10 +904,10 @@ func (s *state) narrow(v symx.Var, nv interval) (stepStatus, []Constraint, strin
 // substitute applies concrete bindings and definitions to an expression.
 func (s *state) substitute(e *symx.Expr) *symx.Expr {
 	return e.SubstFunc(func(v symx.Var) (*symx.Expr, bool) {
-		if c, ok := s.bindings[v]; ok {
+		if c, ok := s.bindings.get(v); ok {
 			return symx.Const(c), true
 		}
-		if d, ok := s.defs[v]; ok {
+		if d, ok := s.defs.get(v); ok {
 			return d.e, true
 		}
 		return nil, false
@@ -836,7 +922,7 @@ func (s *state) residualVars() []symx.Var {
 	}
 	out := make([]symx.Var, 0, len(set))
 	for v := range set {
-		if _, bound := s.bindings[v]; !bound {
+		if _, bound := s.bindings.get(v); !bound {
 			out = append(out, v)
 		}
 	}
@@ -850,8 +936,8 @@ func (s *state) residualVars() []symx.Var {
 func (s *state) candidates(v symx.Var) []int64 {
 	seen := make(map[int64]bool)
 	var out []int64
+	iv := s.intervals.at(v)
 	add := func(x int64) {
-		iv := s.intervals[v]
 		if iv.hasLo && x < iv.lo {
 			return
 		}
@@ -863,7 +949,6 @@ func (s *state) candidates(v symx.Var) []int64 {
 			out = append(out, x)
 		}
 	}
-	iv := s.intervals[v]
 	if iv.hasLo {
 		add(iv.lo)
 	}
@@ -1004,7 +1089,7 @@ func (s *state) randomized(vars []symx.Var) (symx.Model, bool) {
 		}
 		s.tried++
 		for _, v := range vars {
-			iv := s.intervals[v]
+			iv := s.intervals.at(v)
 			var x int64
 			switch {
 			case iv.hasLo && iv.hasHi:
@@ -1046,7 +1131,7 @@ func (s *state) exhausted(vars []symx.Var) bool {
 	// fully contained in its candidates. We approximate: singleton or
 	// two-point intervals only.
 	for _, v := range vars {
-		iv := s.intervals[v]
+		iv := s.intervals.at(v)
 		if !iv.hasLo || !iv.hasHi {
 			return false
 		}
@@ -1070,9 +1155,9 @@ func (s *state) exhausted(vars []symx.Var) bool {
 // leaves its variable without a value. Definitions are acyclic (occurs),
 // so this is well defined.
 type model struct {
-	bindings map[symx.Var]int64
+	bindings layered[int64]
 	search   symx.Model
-	defs     map[symx.Var]def
+	defs     layered[def]
 }
 
 func (s *state) model(search symx.Model) *model {
@@ -1081,25 +1166,23 @@ func (s *state) model(search symx.Model) *model {
 
 // full builds the whole assignment.
 func (m *model) full() symx.Model {
-	out := make(symx.Model, len(m.bindings)+len(m.search)+len(m.defs))
-	for v, c := range m.bindings {
-		out[v] = c
-	}
+	out := make(symx.Model, m.bindings.n+len(m.search)+m.defs.n)
+	m.bindings.all(func(v symx.Var, c int64) { out[v] = c })
 	for v, c := range m.search {
 		out[v] = c
 	}
-	rv := resolver{m: m, memo: make(map[symx.Var]resolved, len(m.defs))}
-	for v := range m.defs {
+	rv := resolver{m: m, memo: make(map[symx.Var]resolved, m.defs.n)}
+	m.defs.all(func(v symx.Var, _ def) {
 		if r := rv.value(v); r.set {
 			out[v] = r.val
 		}
-	}
+	})
 	return out
 }
 
 // resolver reads values from a model, remembering the defined variables
 // it has resolved. It is not safe for concurrent use; Result makes one per
-// read.
+// read, or one per Evaluator.
 type resolver struct {
 	m    *model
 	memo map[symx.Var]resolved
@@ -1116,10 +1199,10 @@ func (r *resolver) value(v symx.Var) resolved {
 	if c, ok := r.m.search[v]; ok {
 		return resolved{val: c, set: true, grounded: true}
 	}
-	if c, ok := r.m.bindings[v]; ok {
+	if c, ok := r.m.bindings.get(v); ok {
 		return resolved{val: c, set: true, grounded: true}
 	}
-	d, ok := r.m.defs[v]
+	d, ok := r.m.defs.get(v)
 	if !ok {
 		return resolved{}
 	}
@@ -1149,7 +1232,7 @@ func (r *resolver) eval(e *symx.Expr, before int) (int64, bool) {
 	return e.EvalFunc(func(u symx.Var) int64 {
 		got := r.value(u)
 		if !got.grounded && before >= 0 {
-			if d, ok := r.m.defs[u]; !ok || d.idx >= before {
+			if d, ok := r.m.defs.get(u); !ok || d.idx >= before {
 				return 0
 			}
 		}

@@ -413,11 +413,11 @@ func TestForcedBindingsExposed(t *testing.T) {
 	if res.Verdict != Sat {
 		t.Fatalf("verdict %v", res.Verdict)
 	}
-	if res.Forced[x] != 5 {
-		t.Errorf("x not forced to 5: %v", res.Forced)
+	if c, _ := res.Forced(x); c != 5 {
+		t.Errorf("x not forced to 5: %d", c)
 	}
-	if _, forced := res.Forced[y]; forced {
-		t.Errorf("y wrongly forced: %v", res.Forced)
+	if c, forced := res.Forced(y); forced {
+		t.Errorf("y wrongly forced to %d", c)
 	}
 }
 

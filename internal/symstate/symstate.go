@@ -420,16 +420,17 @@ func (s *Snapshot) Fingerprint() uint64 {
 }
 
 // ConcretizeMem materializes the snapshot's memory under a model: every
-// overlaid expression evaluated and stored into a View of the base image.
-// The result shares every page of the base it does not write, so it
-// costs the pages the overlay touches; the base must not change while it
-// is in use. Expressions that fail to evaluate (division by zero under
-// the model) resolve to zero — they are unconstrained by definition or
-// the model would not have validated.
-func (s *Snapshot) ConcretizeMem(m symx.Model) *mem.Image {
+// overlaid expression evaluated by eval (a solver.Result's Evaluator, say)
+// and stored into a View of the base image. The result shares every page
+// of the base it does not write, so it costs the pages the overlay
+// touches; the base must not change while it is in use. Expressions that
+// fail to evaluate (division by zero under the model) resolve to zero —
+// they are unconstrained by definition or the model would not have
+// validated.
+func (s *Snapshot) ConcretizeMem(eval func(*symx.Expr) (int64, bool)) *mem.Image {
 	img := s.Base.View()
 	s.ForEachMem(func(a uint32, e *symx.Expr) {
-		v, ok := e.Eval(m)
+		v, ok := eval(e)
 		if !ok {
 			v = 0
 		}
@@ -440,15 +441,16 @@ func (s *Snapshot) ConcretizeMem(m symx.Model) *mem.Image {
 	return img
 }
 
-// ConcretizeRegs materializes thread tid's register file under a model.
-func (s *Snapshot) ConcretizeRegs(tid int, m symx.Model) ([isa.NumRegs]int64, error) {
+// ConcretizeRegs materializes thread tid's register file under a model,
+// evaluated as ConcretizeMem does.
+func (s *Snapshot) ConcretizeRegs(tid int, eval func(*symx.Expr) (int64, bool)) ([isa.NumRegs]int64, error) {
 	var out [isa.NumRegs]int64
 	t := s.Thread(tid)
 	if t == nil {
 		return out, fmt.Errorf("symstate: no thread %d", tid)
 	}
 	for r := 0; r < isa.NumRegs; r++ {
-		v, ok := t.Regs[r].Eval(m)
+		v, ok := eval(t.Regs[r])
 		if !ok {
 			v = 0
 		}

@@ -364,7 +364,7 @@ func TestConcretize(t *testing.T) {
 	x := pool.Fresh("x")
 	s.SetMem(31, symx.VarExpr(x))
 	s.MutableThread(0).Regs[2] = symx.Binary(symx.OpAdd, symx.VarExpr(x), symx.Const(1))
-	m := symx.Model{x: 10}
+	m := func(e *symx.Expr) (int64, bool) { return e.Eval(symx.Model{x: 10}) }
 	img := s.ConcretizeMem(m)
 	if img.Load(31) != 10 || img.Load(30) != 7 {
 		t.Errorf("concretized mem: %d, %d", img.Load(31), img.Load(30))

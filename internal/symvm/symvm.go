@@ -151,9 +151,10 @@ type exec struct {
 	// this range, oldest first.
 	heapRun []coredump.HeapObject
 
-	forced map[symx.Var]int64
-	// fresh lists the variables of forced that the post snapshot's solver
-	// session does not bind.
+	// forced looks up the probe's forced bindings; nil in the probe.
+	forced func(symx.Var) (int64, bool)
+	// fresh lists the variables forced binds that the post snapshot's
+	// solver session does not.
 	fresh       []symx.Var
 	probe       bool
 	solverCalls int
@@ -207,7 +208,7 @@ func BackExec(req Req, opt solver.Options) *Result {
 
 // newExec prepares one pass over the range, with its pre-state register
 // file built over preRegVars.
-func newExec(req Req, opt solver.Options, probe bool, forced map[symx.Var]int64, preRegVars map[isa.Reg]symx.Var) *exec {
+func newExec(req Req, opt solver.Options, probe bool, forced func(symx.Var) (int64, bool), preRegVars map[isa.Reg]symx.Var) *exec {
 	e := &exec{
 		req:        req,
 		opt:        opt,
@@ -254,7 +255,7 @@ func (e *exec) substForced(x *symx.Expr) *symx.Expr {
 		return x
 	}
 	return x.SubstFunc(func(v symx.Var) (*symx.Expr, bool) {
-		if c, ok := e.forced[v]; ok {
+		if c, ok := e.forced(v); ok {
 			return symx.Const(c), true
 		}
 		return nil, false
@@ -657,7 +658,8 @@ func (e *exec) finish() *Result {
 	forcedVars := append([]symx.Var(nil), e.fresh...)
 	slices.Sort(forcedVars)
 	for _, v := range forcedVars {
-		added = append(added, solver.Eq(symx.VarExpr(v), symx.Const(e.forced[v])))
+		c, _ := e.forced(v)
+		added = append(added, solver.Eq(symx.VarExpr(v), symx.Const(c)))
 	}
 	if req.FaultCons != nil {
 		added = append(added, req.FaultCons(e.regs)...)
