@@ -110,6 +110,7 @@ type Snapshot struct {
 	// Incrementally maintained fingerprint components.
 	memHash  uint64 // XOR over (addr, expr-hash) of the effective overlay
 	consHash uint64 // order-sensitive hash of the constraint chain
+	lockHash uint64 // XOR over (addr, owner) of the held locks
 }
 
 // FromDump builds the base-case snapshot: everything concrete, straight
@@ -139,6 +140,7 @@ func FromDump(d *coredump.Dump, heapBase uint32, pool *symx.Pool) *Snapshot {
 	sort.Ints(s.tids)
 	for a, o := range d.Locks {
 		s.locks[a] = o
+		s.lockHash ^= lockEntry(a, o)
 	}
 	s.HeapNext = heapBase
 	for _, h := range d.Heap {
@@ -166,6 +168,7 @@ func (s *Snapshot) Clone() *Snapshot {
 		Depth:    s.Depth,
 		memHash:  s.memHash,
 		consHash: s.consHash,
+		lockHash: s.lockHash,
 	}
 }
 
@@ -306,8 +309,15 @@ func (s *Snapshot) LockOwner(a uint32) (int, bool) {
 	return 0, false
 }
 
+// lockEntry is one held lock's term in lockHash.
+func lockEntry(a uint32, owner int) uint64 { return mix(uint64(a), uint64(owner)) }
+
 // SetLock records mutex a held by owner (in this layer).
 func (s *Snapshot) SetLock(a uint32, owner int) {
+	if old, held := s.LockOwner(a); held {
+		s.lockHash ^= lockEntry(a, old)
+	}
+	s.lockHash ^= lockEntry(a, owner)
 	if s.locks == nil {
 		s.locks = make(map[uint32]int)
 	}
@@ -317,6 +327,11 @@ func (s *Snapshot) SetLock(a uint32, owner int) {
 
 // DeleteLock records mutex a free (in this layer).
 func (s *Snapshot) DeleteLock(a uint32) {
+	old, held := s.LockOwner(a)
+	if !held {
+		return
+	}
+	s.lockHash ^= lockEntry(a, old)
 	delete(s.locks, a)
 	if _, held := s.LockOwner(a); held {
 		if s.lockDel == nil {
@@ -405,9 +420,7 @@ func (s *Snapshot) Fingerprint() uint64 {
 	for _, tid := range s.ThreadIDs() {
 		h = mix(h, s.Thread(tid).hash(tid))
 	}
-	s.ForEachLock(func(a uint32, owner int) {
-		h = mix(mix(h, uint64(a)), uint64(owner))
-	})
+	h = mix(h, s.lockHash)
 	for _, obj := range s.Heap {
 		h = mix(h, uint64(obj.Base))
 		h = mix(h, uint64(obj.Size))
