@@ -25,6 +25,7 @@ import (
 	"res/internal/coredump"
 	"res/internal/prog"
 	"res/internal/replay"
+	"res/internal/trace"
 	"res/internal/vm"
 )
 
@@ -129,19 +130,24 @@ type Analysis struct {
 // Analyze replays the synthesized suffix with instrumentation and returns
 // the most specific root cause it can justify.
 func Analyze(p *prog.Program, syn *core.Synthesized, original *coredump.Dump) (*Analysis, error) {
+	// The detectors read only addresses two threads touched, so a
+	// schedule that runs one thread needs no access log.
 	var recs []accessRec
-	held := make(map[int]map[uint32]bool) // each thread's current lockset
-	hooks := vm.Hooks{
-		OnAccess: func(tid, pc int, addr uint32, write bool) {
-			recs = append(recs, accessRec{tid: tid, pc: pc, addr: addr, write: write, locks: held[tid]})
-		},
-		OnLock: func(tid, pc int, addr uint32, acquire bool) {
-			held[tid] = withLock(held[tid], addr, acquire)
-		},
-	}
-	// Seed locksets with the locks already held at the suffix start.
-	for a, owner := range syn.PreLocks {
-		held[owner] = withLock(held[owner], a, true)
+	var hooks vm.Hooks
+	if !oneThread(syn.Suffix.Steps) {
+		held := make(map[int]map[uint32]bool) // each thread's current lockset
+		hooks = vm.Hooks{
+			OnAccess: func(tid, pc int, addr uint32, write bool) {
+				recs = append(recs, accessRec{tid: tid, pc: pc, addr: addr, write: write, locks: held[tid]})
+			},
+			OnLock: func(tid, pc int, addr uint32, acquire bool) {
+				held[tid] = withLock(held[tid], addr, acquire)
+			},
+		}
+		// Seed locksets with the locks already held at the suffix start.
+		for a, owner := range syn.PreLocks {
+			held[owner] = withLock(held[owner], a, true)
+		}
 	}
 
 	rr, err := replay.Run(p, syn, original, replay.Config{CheckHeap: true, Hooks: hooks})
@@ -185,6 +191,16 @@ func Analyze(p *prog.Program, syn *core.Synthesized, original *coredump.Dump) (*
 	}
 	an.Cause = faultCause(f)
 	return an, nil
+}
+
+// oneThread reports whether every step of a schedule runs the same thread.
+func oneThread(steps []trace.Step) bool {
+	for _, s := range steps {
+		if s.Tid != steps[0].Tid {
+			return false
+		}
+	}
+	return true
 }
 
 // faultCause maps a fault descriptor to a cause.
