@@ -309,11 +309,12 @@ func TestSessionFoldMatchesCheck(t *testing.T) {
 		steps, len(g.vars), len(all), unsat, search, siblings, folds, foldedParents)
 }
 
-// TestFoldedSessionConcurrent extends and checks one deep, folded session
-// from 8 goroutines at once, each with a step of its own and a grandchild
-// step, and holds every result to the one a lone caller got. Run it under
-// -race: the session's propagated state is shared read-only by every
-// check forked from it.
+// TestFoldedSessionConcurrent extends one deep, folded session from 8
+// goroutines at once. Each checks a step of its own and then extends a
+// chain of 40 steps from the session, long enough to fold on the way,
+// and holds every result to the one a lone caller got. Run it under
+// -race: a fold must build new maps, because the forks of one session
+// share its base.
 func TestFoldedSessionConcurrent(t *testing.T) {
 	g := newChainGen(31)
 	sess := NewSession()
@@ -327,22 +328,29 @@ func TestFoldedSessionConcurrent(t *testing.T) {
 		steps++
 	}
 	type job struct {
-		cs, cs2   []Constraint
-		nvars     int
-		want      Result
-		wantChild Result
+		chain [][]Constraint
+		want  []Result
+		nvars int
+		folds int
 	}
 	jobs := make([]job, 8)
 	for i := range jobs {
-		jg := g.clone()
+		jg, js := g.clone(), sess
 		j := &jobs[i]
-		for j.want.Verdict != Sat {
-			j.cs = jg.step(false)
-			j.want = sess.CheckWith(j.cs, Options{})
+		for len(j.chain) < 40 {
+			cs := jg.step(false)
+			res, child := js.Extend(cs, Options{})
+			if res.Verdict != Sat {
+				t.Fatalf("job %d step %d: %v (%s)", i, len(j.chain), res.Verdict, res.Reason)
+			}
+			if folded(child) && len(js.st.bindings.own) > 0 {
+				j.folds++
+			}
+			j.chain, j.want, js = append(j.chain, cs), append(j.want, res), child
 		}
-		_, child := sess.Extend(j.cs, Options{})
-		j.cs2 = jg.step(false)
-		j.wantChild = child.CheckWith(j.cs2, Options{})
+		if j.folds == 0 {
+			t.Fatalf("job %d: the chain never folds", i)
+		}
 		j.nvars = len(jg.vars)
 	}
 	var wg sync.WaitGroup
@@ -351,17 +359,16 @@ func TestFoldedSessionConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			j := &jobs[i]
-			for round := 0; round < 4; round++ {
-				if err := sameResult(sess.CheckWith(j.cs, Options{}), j.want, j.nvars, nil); err != nil {
-					t.Errorf("goroutine %d: check: %v", i, err)
-				}
-				res, child := sess.Extend(j.cs, Options{})
-				if err := sameResult(res, j.want, j.nvars, nil); err != nil {
-					t.Errorf("goroutine %d: extend: %v", i, err)
-				}
-				got := child.CheckWith(j.cs2, Options{})
-				if err := sameResult(got, j.wantChild, j.nvars, nil); err != nil {
-					t.Errorf("goroutine %d: grandchild: %v", i, err)
+			if err := sameResult(sess.CheckWith(j.chain[0], Options{}), j.want[0], j.nvars, nil); err != nil {
+				t.Errorf("goroutine %d: check: %v", i, err)
+			}
+			js := sess
+			for k, cs := range j.chain {
+				var res Result
+				res, js = js.Extend(cs, Options{})
+				if err := sameResult(res, j.want[k], j.nvars, nil); err != nil {
+					t.Errorf("goroutine %d step %d: %v", i, k, err)
+					return
 				}
 			}
 		}(i)
