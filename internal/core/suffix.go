@@ -64,10 +64,11 @@ func (e *Engine) Concretize(n *Node, d *coredump.Dump) (*Synthesized, error) {
 		s := &cur.Step
 		suffix.Steps = append(suffix.Steps, trace.Step{Tid: s.Tid, Block: s.Block})
 		for _, iu := range s.Inputs {
+			v, _ := eval(symx.VarExpr(iu.Var)) // a variable without a value reads 0
 			suffix.Inputs = append(suffix.Inputs, trace.InputRec{
 				Tid:     s.Tid,
 				Channel: iu.Channel,
-				Value:   value(eval, iu.Var),
+				Value:   v,
 			})
 		}
 		for _, a := range s.Accesses {
@@ -109,12 +110,6 @@ func (e *Engine) Concretize(n *Node, d *coredump.Dump) (*Synthesized, error) {
 	slices.Sort(syn.ReadSet)
 	slices.Sort(syn.WriteSet)
 	return syn, nil
-}
-
-// value reads v under eval; a variable without a value reads 0.
-func value(eval func(*symx.Expr) (int64, bool), v symx.Var) int64 {
-	x, _ := eval(symx.VarExpr(v))
-	return x
 }
 
 // Describe renders a synthesized suffix for human consumption.

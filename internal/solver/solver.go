@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -246,7 +245,10 @@ func Check(cs []Constraint, opt Options) Result {
 	if opt.Observe != nil {
 		t0 = time.Now()
 	}
-	s := &state{opt: opt.normalize(), pending: slices.Clone(cs)}
+	s := &state{opt: opt.normalize()}
+	for _, c := range cs {
+		s.pending = append(s.pending, c)
+	}
 	res := finishResult(s, s.solve(), cs)
 	if opt.Observe != nil {
 		opt.Observe(time.Since(t0), res.Verdict)
@@ -286,7 +288,7 @@ func finishResult(s *state, res Result, recheck []Constraint) Result {
 func (s *state) clone() *state {
 	return &state{
 		opt:       s.opt,
-		pending:   slices.Clone(s.pending),
+		pending:   append([]Constraint(nil), s.pending...),
 		bindings:  s.bindings.clone(),
 		defs:      s.defs.clone(),
 		intervals: s.intervals.clone(),
@@ -349,7 +351,7 @@ func (s *Session) extend(added []Constraint, opt Options, keep bool) (Result, *S
 	}
 	st := s.st.clone()
 	st.opt = opt.normalize()
-	recheck := slices.Concat(st.pending, added)
+	recheck := append(append([]Constraint(nil), st.pending...), added...)
 	st.pending = append(st.pending, added...)
 	res := finishResult(st, st.solve(), recheck)
 	if opt.Observe != nil {
