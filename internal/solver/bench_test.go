@@ -50,3 +50,46 @@ func BenchmarkSessionCheckWith(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkResidualSearch times checks whose residue propagation cannot
+// discharge, so that they reach the search. unknown is a LongPrefix
+// candidate's residue, ((v24 + -1717837) + v15) == -629815 and v15 odd:
+// 100 enumerated and 4,096 random tries find no model. enum-8 is eight
+// independent parity constraints, which the enumeration satisfies after
+// 21,846 of its 65,536 tries. remembered checks nothing more on the
+// session enum-8's constraints built.
+func BenchmarkResidualSearch(b *testing.B) {
+	v := func(i uint32) *symx.Expr { return symx.VarExpr(symx.Var(i)) }
+	odd := func(e *symx.Expr) Constraint { return Ne(symx.Binary(symx.OpAnd, e, symx.Const(1)), symx.Const(0)) }
+	unknown := []Constraint{
+		Eq(symx.Binary(symx.OpAdd, symx.Binary(symx.OpAdd, v(24), symx.Const(-1717837)), v(15)), symx.Const(-629815)),
+		odd(v(15)),
+	}
+	var enum8 []Constraint
+	for i := uint32(0); i < 8; i++ {
+		enum8 = append(enum8, odd(v(i)))
+	}
+	sess := NewSession()
+	res, built := sess.Extend(enum8, Options{})
+	if res.Verdict != Sat {
+		b.Fatalf("enum-8: %v (%s)", res.Verdict, res.Reason)
+	}
+	for _, c := range []struct {
+		name  string
+		want  Verdict
+		check func() Result
+	}{
+		{"unknown", Unknown, func() Result { return sess.CheckWith(unknown, Options{}) }},
+		{"enum-8", Sat, func() Result { return sess.CheckWith(enum8, Options{}) }},
+		{"remembered", Sat, func() Result { return built.CheckWith(nil, Options{}) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res := c.check(); res.Verdict != c.want {
+					b.Fatalf("%v (%s), want %v", res.Verdict, res.Reason, c.want)
+				}
+			}
+		})
+	}
+}

@@ -95,6 +95,30 @@ func (g *chainGen) residualVars() int {
 	return n
 }
 
+// twoValued creates a free variable confined to an interval of two
+// values around 0, with one of them marked excluded, and returns the
+// constraints that confine it.
+func (g *chainGen) twoValued() (symx.Var, []Constraint) {
+	v := g.fresh(true)
+	gv := &g.vars[v]
+	gv.lo = -g.rng.Int63n(2)
+	gv.hi = gv.lo + 1
+	gv.ne = append(gv.ne, gv.lo+g.rng.Int63n(2))
+	return v, []Constraint{Le(symx.Const(gv.lo), symx.VarExpr(v)), Le(symx.VarExpr(v), symx.Const(gv.hi))}
+}
+
+// finiteResidue reports whether every free variable a residual
+// disequality waits on has at most two values, so that a search covers
+// the residue's whole domain.
+func (g *chainGen) finiteResidue() bool {
+	for i := range g.vars {
+		if gv := &g.vars[i]; gv.free && !gv.bound && len(gv.ne) > 0 && gv.hi-gv.lo > 1 {
+			return false
+		}
+	}
+	return true
+}
+
 func (g *chainGen) expr() *symx.Expr {
 	a := symx.VarExpr(g.pick())
 	k := symx.Const(g.rng.Int63n(64) - 32)
@@ -116,7 +140,7 @@ func (g *chainGen) expr() *symx.Expr {
 func (g *chainGen) step(contradict bool) []Constraint {
 	var cs []Constraint
 	for n := 1 + g.rng.Intn(4); n > 0; n-- {
-		k := g.rng.Intn(20)
+		k := g.rng.Intn(22)
 		if len(g.vars) == 0 {
 			k = 0
 		}
@@ -148,7 +172,11 @@ func (g *chainGen) step(contradict bool) []Constraint {
 				cs = append(cs, Le(symx.VarExpr(v), symx.Const(0)), Le(symx.Const(0), symx.VarExpr(v)))
 				continue
 			}
-			gv.lo = -g.rng.Int63n(-gv.lo + 1)
+			lo := -g.rng.Int63n(-gv.lo + 1)
+			if lo == gv.hi && slices.Contains(gv.ne, lo) {
+				continue // it would pin v onto an excluded value
+			}
+			gv.lo = lo
 			cs = append(cs, Lt(symx.Const(gv.lo-1), symx.VarExpr(v)))
 		case k < 18: // bind a free variable inside its interval, off its excluded values
 			v, ok := g.pickFree()
@@ -162,7 +190,7 @@ func (g *chainGen) step(contradict bool) []Constraint {
 			}
 			gv.bound = true
 			cs = append(cs, Eq(symx.VarExpr(v), symx.Const(x)))
-		default: // exclude a value of a free variable
+		case k < 20: // exclude a value of a free variable
 			v, ok := g.pickFree()
 			if !ok || g.residualVars() >= 3 {
 				continue
@@ -171,10 +199,23 @@ func (g *chainGen) step(contradict bool) []Constraint {
 			x := gv.lo + g.rng.Int63n(gv.hi-gv.lo+1)
 			gv.ne = append(gv.ne, x)
 			cs = append(cs, Ne(symx.VarExpr(v), symx.Const(x)))
+		default: // a new free variable confined to two values, one of them excluded
+			if g.residualVars() >= 3 {
+				continue
+			}
+			v, x := g.twoValued()
+			cs = append(cs, x...)
+			cs = append(cs, Ne(symx.VarExpr(v), symx.Const(g.vars[v].ne[0])))
 		}
 	}
 	if contradict {
 		switch v, ok := g.pickFree(); {
+		case g.rng.Intn(2) == 0 && g.finiteResidue():
+			// Exclude both values of a new two-valued variable: only a
+			// search that covers every residual domain refutes it.
+			v, x := g.twoValued()
+			cs = append(cs, x...)
+			cs = append(cs, Ne(symx.VarExpr(v), symx.Const(g.vars[v].lo)), Ne(symx.VarExpr(v), symx.Const(g.vars[v].hi)))
 		case ok && len(g.vars[v].ne) > 0: // bind onto an excluded value
 			cs = append(cs, Eq(symx.VarExpr(v), symx.Const(g.vars[v].ne[0])))
 		case ok: // empty the interval
@@ -240,20 +281,67 @@ func forcedSet(r Result, nvars int) map[symx.Var]bool {
 	return out
 }
 
+// sameAsFresh holds a check that adds nothing to a kept session to a
+// fresh solve of the session's residue, which a copy of the session
+// without its remembered outcome makes.
+func sameAsFresh(s *Session, nvars int) error {
+	return sameResult(s.CheckWith(nil, Options{}), (&Session{st: s.st}).CheckWith(nil, Options{}), nvars, nil)
+}
+
+// TestSessionRemembersOutcome holds a check that adds nothing to a fresh
+// solve of the session's residue under the options it is given: the
+// ones the check that built the session ran under, and each of the
+// search options changed. The residue is solved by the randomized phase,
+// so each change moves the outcome.
+func TestSessionRemembersOutcome(t *testing.T) {
+	x := symx.VarExpr(0)
+	res, sess := NewSession().Extend([]Constraint{Eq(symx.Binary(symx.OpShr, x, symx.Const(8)), symx.Const(3))}, Options{})
+	if res.Verdict != Sat {
+		t.Fatalf("extend: %v (%s)", res.Verdict, res.Reason)
+	}
+	base := sess.CheckWith(nil, Options{})
+	for _, c := range []struct {
+		opt   Options
+		moves bool
+	}{
+		{Options{}, false},
+		{DefaultOptions(), false},
+		{Options{Seed: 2}, true},
+		{Options{MaxEnum: 5}, true},
+		{Options{RandomTries: 1}, true},
+	} {
+		opt := c.opt
+		got := sess.CheckWith(nil, opt)
+		want := (&Session{st: sess.st}).CheckWith(nil, opt)
+		if err := sameResult(got, want, 1, nil); err != nil {
+			t.Errorf("%+v: %v", opt, err)
+		}
+		if got.ModelsTried != want.ModelsTried || got.Reason != want.Reason {
+			t.Errorf("%+v: %d models tried (%s), want %d (%s)", opt, got.ModelsTried, got.Reason, want.ModelsTried, want.Reason)
+		}
+		if c.moves && sameResult(want, base, 1, nil) == nil && want.ModelsTried == base.ModelsTried {
+			t.Errorf("%+v: the outcome does not move, so the option goes untested", opt)
+		}
+	}
+}
+
 // TestSessionFoldMatchesCheck extends one session 300 times with seeded
-// random bindings, definitions, order constraints and residual
-// disequalities, and holds every check to Check over the concatenation:
-// the verdict, the forced value of every variable, the order of the newly
-// forced ones and the model. Every few steps, and after every fold, three
-// siblings fork from the current session and each checks a step and a
-// grandchild step of its own; one step in twenty contradicts itself and
-// is dropped. The session must fold many times on the way.
+// random bindings, definitions, order constraints, residual disequalities
+// and variables confined to two values, and holds every check to Check
+// over the concatenation: the verdict, the forced value of every
+// variable, the order of the newly forced ones and the model. Every few
+// steps, and after every fold, three siblings fork from the current
+// session and each checks a step and a grandchild step of its own; one
+// step in twenty contradicts itself and is dropped, some of them refuted
+// only by a search that covers every residual domain. At every kept
+// session a check that adds nothing must match a fresh solve. The
+// session must fold many times on the way.
 func TestSessionFoldMatchesCheck(t *testing.T) {
 	g := newChainGen(23)
 	sess := NewSession()
 	var all []Constraint
 	parentForced := map[symx.Var]bool{}
-	steps, unsat, siblings, search, folds, foldedParents := 0, 0, 0, 0, 0, 0
+	steps, unsat, siblings, search, folds, foldedParents, exhausted := 0, 0, 0, 0, 0, 0, 0
 	for steps < 300 {
 		if steps%7 == 3 || folded(sess) {
 			if folded(sess) {
@@ -271,6 +359,9 @@ func TestSessionFoldMatchesCheck(t *testing.T) {
 				if res.Verdict == Unsat {
 					continue
 				}
+				if err := sameAsFresh(child, len(sg.vars)); err != nil {
+					t.Fatalf("step %d sibling %d: check that adds nothing: %v", steps, k, err)
+				}
 				cs2 := sg.step(false)
 				res2 := child.CheckWith(cs2, Options{})
 				want2 := Check(append(flat, cs2...), Options{})
@@ -287,9 +378,15 @@ func TestSessionFoldMatchesCheck(t *testing.T) {
 		if err := sameResult(res, want, len(next.vars), parentForced); err != nil {
 			t.Fatalf("step %d: %v\nadded %s", steps, err, String(cs))
 		}
+		if want.Reason == "finite domains exhausted" {
+			exhausted++
+		}
 		if res.Verdict == Unsat {
 			unsat++
 			continue
+		}
+		if err := sameAsFresh(child, len(next.vars)); err != nil {
+			t.Fatalf("step %d: check that adds nothing: %v", steps, err)
 		}
 		if res.ModelsTried > 0 {
 			search++
@@ -301,12 +398,12 @@ func TestSessionFoldMatchesCheck(t *testing.T) {
 		parentForced = forcedSet(want, len(g.vars))
 		steps++
 	}
-	if unsat == 0 || search == 0 || siblings < 100 || folds < 10 || foldedParents < 10 {
-		t.Fatalf("%d contradicting steps, %d steps searched, %d siblings, %d folds, %d folded parents",
-			unsat, search, siblings, folds, foldedParents)
+	if unsat == 0 || search == 0 || siblings < 100 || folds < 10 || foldedParents < 10 || exhausted == 0 {
+		t.Fatalf("%d contradicting steps (%d exhausted by search), %d steps searched, %d siblings, %d folds, %d folded parents",
+			unsat, exhausted, search, siblings, folds, foldedParents)
 	}
-	t.Logf("%d steps over %d variables and %d constraints: %d contradicting steps dropped, %d searched, %d siblings, %d folds, %d folded parents",
-		steps, len(g.vars), len(all), unsat, search, siblings, folds, foldedParents)
+	t.Logf("%d steps over %d variables and %d constraints: %d contradicting steps dropped (%d exhausted by search), %d searched, %d siblings, %d folds, %d folded parents",
+		steps, len(g.vars), len(all), unsat, exhausted, search, siblings, folds, foldedParents)
 }
 
 // TestFoldedSessionConcurrent extends one deep, folded session from 8

@@ -236,6 +236,81 @@ func TestFingerprintLockHistory(t *testing.T) {
 	}
 }
 
+// lockWalk is the lock table read by walking every layer: the reference
+// ForEachLock, LockOwner and NumLocks must match.
+func lockWalk(s *Snapshot) map[uint32]int {
+	out := make(map[uint32]int)
+	done := make(map[uint32]bool)
+	for cur := s; cur != nil; cur = cur.parent {
+		for a := range cur.lockDel {
+			done[a] = true
+		}
+		for a, o := range cur.locks {
+			if !done[a] {
+				out[a] = o
+				done[a] = true
+			}
+		}
+	}
+	return out
+}
+
+// TestLockTableThroughLockFreeLayers writes the lock table at the root,
+// replaces an owner in one layer, deletes a lock in another and sets and
+// deletes one within a third, with runs of layers that touch no lock
+// between them, and holds every layer's ForEachLock (in ascending
+// order), LockOwner and NumLocks to the walk of every layer.
+func TestLockTableThroughLockFreeLayers(t *testing.T) {
+	s := FromDump(sampleDump(), 20, symx.NewPool()) // lock 50 held by thread 0
+	s.SetLock(51, 1)
+	s.SetLock(53, 0)
+	layers := []*Snapshot{s}
+	lockFree := func(n int) {
+		for ; n > 0; n-- {
+			c := layers[len(layers)-1].Clone()
+			c.SetMem(30, symx.Const(int64(len(layers))))
+			layers = append(layers, c)
+		}
+	}
+	write := func(f func(c *Snapshot)) {
+		c := layers[len(layers)-1].Clone()
+		f(c)
+		layers = append(layers, c)
+	}
+	lockFree(4)
+	write(func(c *Snapshot) { c.SetLock(50, 1) })
+	lockFree(5)
+	write(func(c *Snapshot) { c.DeleteLock(51) })
+	lockFree(3)
+	write(func(c *Snapshot) { c.SetLock(52, 0); c.DeleteLock(52) })
+	lockFree(6)
+	for i, c := range layers {
+		want := lockWalk(c)
+		var addrs []uint32
+		c.ForEachLock(func(a uint32, o int) {
+			addrs = append(addrs, a)
+			if w, ok := want[a]; !ok || w != o {
+				t.Errorf("layer %d: ForEachLock visits %d owned by %d, want %d (%v)", i, a, o, w, ok)
+			}
+		})
+		if len(addrs) != len(want) || !slices.IsSorted(addrs) {
+			t.Errorf("layer %d: ForEachLock visits %v, want the %d of %v in order", i, addrs, len(want), want)
+		}
+		if n := c.NumLocks(); n != len(want) {
+			t.Errorf("layer %d: NumLocks %d, want %d", i, n, len(want))
+		}
+		for a := uint32(49); a < 55; a++ {
+			o, held := c.LockOwner(a)
+			if w, ok := want[a]; held != ok || o != w {
+				t.Errorf("layer %d: LockOwner(%d) = %d, %v; want %d, %v", i, a, o, held, w, ok)
+			}
+		}
+	}
+	if got := lockWalk(layers[len(layers)-1]); len(got) != 2 || got[50] != 1 || got[53] != 0 {
+		t.Fatalf("final table %v, want map[50:1 53:0]", got)
+	}
+}
+
 func TestSessionIncrementalCheck(t *testing.T) {
 	pool := symx.NewPool()
 	s := FromDump(sampleDump(), 20, pool)
