@@ -944,7 +944,8 @@ func (e *Engine) stepOnce(n *Node, c candidate, consumeMask uint64, d *coredump.
 	// Evidence: advance the filter-consumed cursors, then let each pruner
 	// constrain the child (output matching, memory probes, ...). Each
 	// needCheck propagates only the constraints appended since the last
-	// check, on top of the child's incremental session.
+	// check, on top of the child's incremental session, and reads only
+	// whether they are Unsat.
 	if len(e.opt.Evidence) > 0 {
 		child.ev = append([]int32(nil), n.ev...)
 		for i := range e.opt.Evidence {
@@ -962,7 +963,7 @@ func (e *Engine) stepOnce(n *Node, c candidate, consumeMask uint64, d *coredump.
 			}
 			child.ev[i] += int32(consumed)
 			if needCheck {
-				chk := child.Snap.Check(e.solverOpt)
+				chk := child.Snap.Refute(e.solverOpt)
 				out.solverCalls++
 				if chk.Verdict == solver.Unsat {
 					out.verdict = symvm.Infeasible

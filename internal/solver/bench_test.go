@@ -57,7 +57,8 @@ func BenchmarkSessionCheckWith(b *testing.B) {
 // 100 enumerated and 4,096 random tries find no model. enum-8 is eight
 // independent parity constraints, which the enumeration satisfies after
 // 21,846 of its 65,536 tries. remembered checks nothing more on the
-// session enum-8's constraints built.
+// session enum-8's constraints built, and refute is the refutation-only
+// check of unknown's residue.
 func BenchmarkResidualSearch(b *testing.B) {
 	v := func(i uint32) *symx.Expr { return symx.VarExpr(symx.Var(i)) }
 	odd := func(e *symx.Expr) Constraint { return Ne(symx.Binary(symx.OpAnd, e, symx.Const(1)), symx.Const(0)) }
@@ -82,6 +83,7 @@ func BenchmarkResidualSearch(b *testing.B) {
 		{"unknown", Unknown, func() Result { return sess.CheckWith(unknown, Options{}) }},
 		{"enum-8", Sat, func() Result { return sess.CheckWith(enum8, Options{}) }},
 		{"remembered", Sat, func() Result { return built.CheckWith(nil, Options{}) }},
+		{"refute", Unknown, func() Result { return sess.RefuteWith(unknown, Options{}) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

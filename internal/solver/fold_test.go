@@ -281,6 +281,23 @@ func forcedSet(r Result, nvars int) map[symx.Var]bool {
 	return out
 }
 
+// sameRefutation compares a refutation-only check with Check's result
+// over the same conjunction: Unsat exactly when Check is, for the same
+// reason, and otherwise the same forced values and newly forced
+// variables; a refutation that searched has Check's verdict and model.
+func sameRefutation(got, want Result, nvars int, parentForced map[symx.Var]bool) error {
+	if got.Verdict != Unsat && want.Verdict != Unsat && got.Reason == "not searched" {
+		want.Verdict, want.model = Unknown, nil
+	}
+	if err := sameResult(got, want, nvars, parentForced); err != nil {
+		return fmt.Errorf("refutation: %v", err)
+	}
+	if got.Verdict == Unsat && got.Reason != want.Reason {
+		return fmt.Errorf("refutation: unsat (%s), want unsat (%s)", got.Reason, want.Reason)
+	}
+	return nil
+}
+
 // sameAsFresh holds a check that adds nothing to a kept session to a
 // fresh solve of the session's residue, which a copy of the session
 // without its remembered outcome makes.
@@ -333,15 +350,18 @@ func TestSessionRemembersOutcome(t *testing.T) {
 // steps, and after every fold, three siblings fork from the current
 // session and each checks a step and a grandchild step of its own; one
 // step in twenty contradicts itself and is dropped, some of them refuted
-// only by a search that covers every residual domain. At every kept
-// session a check that adds nothing must match a fresh solve. The
-// session must fold many times on the way.
+// only by a search that covers every residual domain. Every step's
+// refutation-only check must be Unsat exactly when Check is, and the
+// session it keeps must check as Extend's does. At every kept session a
+// check that adds nothing must match a fresh solve. The session must fold
+// many times on the way.
 func TestSessionFoldMatchesCheck(t *testing.T) {
 	g := newChainGen(23)
 	sess := NewSession()
 	var all []Constraint
 	parentForced := map[symx.Var]bool{}
 	steps, unsat, siblings, search, folds, foldedParents, exhausted := 0, 0, 0, 0, 0, 0, 0
+	refuted, refuteSearched := 0, 0
 	for steps < 300 {
 		if steps%7 == 3 || folded(sess) {
 			if folded(sess) {
@@ -354,6 +374,9 @@ func TestSessionFoldMatchesCheck(t *testing.T) {
 				flat := append(slices.Clip(all), cs...)
 				want := Check(flat, Options{})
 				if err := sameResult(res, want, len(sg.vars), parentForced); err != nil {
+					t.Fatalf("step %d sibling %d: %v", steps, k, err)
+				}
+				if err := sameRefutation(sess.RefuteWith(cs, Options{}), want, len(sg.vars), parentForced); err != nil {
 					t.Fatalf("step %d sibling %d: %v", steps, k, err)
 				}
 				if res.Verdict == Unsat {
@@ -378,6 +401,16 @@ func TestSessionFoldMatchesCheck(t *testing.T) {
 		if err := sameResult(res, want, len(next.vars), parentForced); err != nil {
 			t.Fatalf("step %d: %v\nadded %s", steps, err, String(cs))
 		}
+		ref, refChild := sess.ExtendRefute(cs, Options{})
+		if err := sameRefutation(ref, want, len(next.vars), parentForced); err != nil {
+			t.Fatalf("step %d: %v\nadded %s", steps, err, String(cs))
+		}
+		if ref.Verdict == Unsat {
+			refuted++
+		}
+		if ref.Reason != "not searched" && len(refChild.st.pending) > 0 {
+			refuteSearched++
+		}
 		if want.Reason == "finite domains exhausted" {
 			exhausted++
 		}
@@ -387,6 +420,12 @@ func TestSessionFoldMatchesCheck(t *testing.T) {
 		}
 		if err := sameAsFresh(child, len(next.vars)); err != nil {
 			t.Fatalf("step %d: check that adds nothing: %v", steps, err)
+		}
+		if refChild.known && len(cs) > 0 {
+			t.Fatalf("step %d: a refutation-only check's session remembers an outcome", steps)
+		}
+		if err := sameResult(refChild.CheckWith(nil, Options{}), (&Session{st: child.st}).CheckWith(nil, Options{}), len(next.vars), nil); err != nil {
+			t.Fatalf("step %d: the refutation-only check's session: %v", steps, err)
 		}
 		if res.ModelsTried > 0 {
 			search++
@@ -398,12 +437,12 @@ func TestSessionFoldMatchesCheck(t *testing.T) {
 		parentForced = forcedSet(want, len(g.vars))
 		steps++
 	}
-	if unsat == 0 || search == 0 || siblings < 100 || folds < 10 || foldedParents < 10 || exhausted == 0 {
-		t.Fatalf("%d contradicting steps (%d exhausted by search), %d steps searched, %d siblings, %d folds, %d folded parents",
-			unsat, exhausted, search, siblings, folds, foldedParents)
+	if unsat == 0 || search == 0 || siblings < 100 || folds < 10 || foldedParents < 10 || exhausted == 0 || refuted != unsat || refuteSearched == 0 {
+		t.Fatalf("%d contradicting steps (%d exhausted by search, %d refuted), %d steps searched (%d by the refutation), %d siblings, %d folds, %d folded parents",
+			unsat, exhausted, refuted, search, refuteSearched, siblings, folds, foldedParents)
 	}
-	t.Logf("%d steps over %d variables and %d constraints: %d contradicting steps dropped (%d exhausted by search), %d searched, %d siblings, %d folds, %d folded parents",
-		steps, len(g.vars), len(all), unsat, exhausted, search, siblings, folds, foldedParents)
+	t.Logf("%d steps over %d variables and %d constraints: %d contradicting steps dropped (%d exhausted by search), %d searched (%d by the refutation), %d siblings, %d folds, %d folded parents",
+		steps, len(g.vars), len(all), unsat, exhausted, search, refuteSearched, siblings, folds, foldedParents)
 }
 
 // TestFoldedSessionConcurrent extends one deep, folded session from 8

@@ -134,7 +134,7 @@ func TestResolverMatchesBuildModel(t *testing.T) {
 			opt:     DefaultOptions(),
 			pending: append([]Constraint(nil), cs...),
 		}
-		res := s.solve()
+		res := s.solve(false)
 		if res.model == nil {
 			continue
 		}

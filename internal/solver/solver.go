@@ -28,6 +28,17 @@
 // Result.Model builds the whole assignment, and the Sat recheck resolves
 // the variables of the constraints it checks, all by one rule and to the
 // same values.
+//
+// The search runs where its answer is read, and each try is cheap. The
+// residue is compiled once per search into an instruction list over a
+// slot array whose first slots hold the try, so a try writes no map and
+// walks no tree; only the model found becomes a symx.Model. A check whose
+// caller reads only whether it is Unsat (Session.RefuteWith and
+// ExtendRefute) searches only a residue a search could refute, one whose
+// every variable lies in an interval of at most two values; any other
+// residue is Unknown, "not searched". A session remembers the outcome of
+// the full check that built it, and a check that adds nothing under the
+// same search options returns that outcome instead of searching again.
 package solver
 
 import (
@@ -36,6 +47,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"res/internal/symx"
@@ -249,7 +261,7 @@ func Check(cs []Constraint, opt Options) Result {
 	for _, c := range cs {
 		s.pending = append(s.pending, c)
 	}
-	res := finishResult(s, s.solve(), cs)
+	res := finishResult(s, s.solve(false), cs)
 	if opt.Observe != nil {
 		opt.Observe(time.Since(t0), res.Verdict)
 	}
@@ -304,6 +316,12 @@ func (s *state) clone() *state {
 // constraints its block introduced instead of re-solving a depth-long
 // history.
 //
+// A session remembers the outcome of the full check that built it, when
+// that check was not interrupted and its propagation reached a fixpoint:
+// a check that adds nothing under the same search options (MaxEnum,
+// RandomTries, Seed) would search the same residue the same way, so it
+// returns that outcome instead.
+//
 // Sessions are immutable after construction and safe for concurrent use:
 // CheckWith and Extend fork the propagated state before mutating it,
 // writing only the fork's own maps, so any number of goroutines may extend
@@ -316,8 +334,15 @@ func (s *state) clone() *state {
 // models as Check over the flattened set.
 type Session struct {
 	st     *state // propagated over the base set; read-only after construction
+	reason string // why the base is contradictory, or the remembered reason
 	unsat  bool   // the base itself is contradictory
-	reason string
+	// known is set when the session remembers the search outcome of the
+	// check that built it, under st.opt: its verdict (Sat or Unknown),
+	// reason, Sat assignment and the number of models it tried.
+	known   bool
+	verdict Verdict
+	tried   int
+	search  symx.Model
 }
 
 // NewSession returns the empty session (no base constraints).
@@ -329,7 +354,7 @@ func NewSession() *Session {
 // propagated state. It is Check over the flattened conjunction, minus the
 // re-propagation of the base. Zero option fields take package defaults.
 func (s *Session) CheckWith(added []Constraint, opt Options) Result {
-	res, _ := s.extend(added, opt, false)
+	res, _ := s.extend(added, opt, false, false)
 	return res
 }
 
@@ -337,10 +362,28 @@ func (s *Session) CheckWith(added []Constraint, opt Options) Result {
 // a child session whose base is the propagated combined set — the state a
 // feasible search node hands to its children.
 func (s *Session) Extend(added []Constraint, opt Options) (Result, *Session) {
-	return s.extend(added, opt, true)
+	return s.extend(added, opt, true, false)
 }
 
-func (s *Session) extend(added []Constraint, opt Options, keep bool) (Result, *Session) {
+// RefuteWith is CheckWith for a caller that reads only whether the
+// verdict is Unsat: it propagates as CheckWith does, but searches only a
+// residue whose every variable has a two-sided interval of at most two
+// values, the only residue a search can refute. Any other residue is
+// Unknown, "not searched". Its Unsat verdicts and their reasons, Forced
+// and NewlyForced are CheckWith's.
+func (s *Session) RefuteWith(added []Constraint, opt Options) Result {
+	res, _ := s.extend(added, opt, false, true)
+	return res
+}
+
+// ExtendRefute is Extend for a caller that reads only whether the verdict
+// is Unsat, searching as RefuteWith does. Its child session is Extend's,
+// but remembers no outcome.
+func (s *Session) ExtendRefute(added []Constraint, opt Options) (Result, *Session) {
+	return s.extend(added, opt, true, true)
+}
+
+func (s *Session) extend(added []Constraint, opt Options, keep, refute bool) (Result, *Session) {
 	if s.unsat {
 		// The base was already contradictory; nothing added can fix it.
 		return Result{Verdict: Unsat, Reason: s.reason}, s
@@ -349,11 +392,21 @@ func (s *Session) extend(added []Constraint, opt Options, keep bool) (Result, *S
 	if opt.Observe != nil {
 		t0 = time.Now()
 	}
+	norm := opt.normalize()
+	if len(added) == 0 && s.known && norm.MaxEnum == s.st.opt.MaxEnum &&
+		norm.RandomTries == s.st.opt.RandomTries && norm.Seed == s.st.opt.Seed {
+		res := s.remembered()
+		if opt.Observe != nil {
+			opt.Observe(time.Since(t0), res.Verdict)
+		}
+		return res, s
+	}
 	st := s.st.clone()
-	st.opt = opt.normalize()
+	st.opt = norm
 	recheck := append(append([]Constraint(nil), st.pending...), added...)
 	st.pending = append(st.pending, added...)
-	res := finishResult(st, st.solve(), recheck)
+	out := st.solve(refute)
+	res := finishResult(st, out, recheck)
 	if opt.Observe != nil {
 		opt.Observe(time.Since(t0), res.Verdict)
 	}
@@ -364,6 +417,14 @@ func (s *Session) extend(added []Constraint, opt Options, keep bool) (Result, *S
 	if res.Verdict == Unsat {
 		child.unsat, child.reason = true, res.Reason
 	} else {
+		if !refute && !st.interrupted && st.rounds <= maxRounds {
+			// The search's own outcome, before the recheck: a check that
+			// adds nothing rechecks only the residue, which it satisfies.
+			child.known, child.verdict, child.reason, child.tried = true, out.Verdict, out.Reason, st.tried
+			if out.model != nil {
+				child.search = out.model.search
+			}
+		}
 		// The search phases only touch bookkeeping, but clear it so the
 		// retained state is a pure propagation snapshot. Folding builds new
 		// maps: res and its model keep reading the ones they hold.
@@ -371,6 +432,17 @@ func (s *Session) extend(added []Constraint, opt Options, keep bool) (Result, *S
 		st.bindings, st.defs, st.intervals = st.bindings.fold(), st.defs.fold(), st.intervals.fold()
 	}
 	return res, child
+}
+
+// remembered is the result a check that adds nothing would reach: one
+// propagation round over the residue, which is at its fixpoint, binds
+// nothing new, and the search repeats the remembered one.
+func (s *Session) remembered() Result {
+	res := Result{Verdict: s.verdict, Reason: s.reason, PropagationRounds: 1, ModelsTried: s.tried}
+	if s.verdict == Sat {
+		res.model = s.st.model(s.search)
+	}
+	return finishResult(s.st, res, s.st.pending)
 }
 
 type interval struct {
@@ -496,7 +568,11 @@ func (s *state) interruptNow(i int) bool {
 	return s.interrupted
 }
 
-func (s *state) solve() Result {
+// solve propagates and searches the residue. With refute set its caller
+// reads only whether the verdict is Unsat, and it searches only a residue
+// the search could refute (finite); any other residue is Unknown, "not
+// searched".
+func (s *state) solve(refute bool) Result {
 	if why, ok := s.propagate(); !ok {
 		return Result{Verdict: Unsat, Reason: why, PropagationRounds: s.rounds}
 	}
@@ -506,11 +582,15 @@ func (s *state) solve() Result {
 	}
 	// Search phase over the residual constraints.
 	vars := s.residualVars()
-	if m, ok := s.enumerate(vars); ok {
-		return Result{Verdict: Sat, model: s.model(m), PropagationRounds: s.rounds, ModelsTried: s.tried}
+	if refute && !s.finite(vars) {
+		return Result{Verdict: Unknown, Reason: "not searched", PropagationRounds: s.rounds}
 	}
-	if m, ok := s.randomized(vars); ok {
-		return Result{Verdict: Sat, model: s.model(m), PropagationRounds: s.rounds, ModelsTried: s.tried}
+	k := compile(s.pending, vars)
+	if ok := s.enumerate(vars, k); ok {
+		return Result{Verdict: Sat, model: s.model(k.model(vars)), PropagationRounds: s.rounds, ModelsTried: s.tried}
+	}
+	if ok := s.randomized(vars, k); ok {
+		return Result{Verdict: Sat, model: s.model(k.model(vars)), PropagationRounds: s.rounds, ModelsTried: s.tried}
 	}
 	if s.interrupted {
 		return Result{Verdict: Unknown, Reason: "interrupted", PropagationRounds: s.rounds, ModelsTried: s.tried}
@@ -524,12 +604,16 @@ func (s *state) solve() Result {
 	return Result{Verdict: Unknown, Reason: "search budget exhausted", PropagationRounds: s.rounds, ModelsTried: s.tried}
 }
 
+// maxRounds bounds propagation; past it the residue goes to the search
+// without reaching a fixpoint.
+const maxRounds = 10000
+
 // propagate runs simplification, inversion and interval narrowing to a
 // fixpoint. Returns (reason, false) on a sound contradiction.
 func (s *state) propagate() (string, bool) {
 	for {
 		s.rounds++
-		if s.rounds > 10000 {
+		if s.rounds > maxRounds {
 			return "", true // give up on propagation, fall through to search
 		}
 		if s.interruptNow(s.rounds) {
@@ -1014,21 +1098,11 @@ func (s *state) candidates(v symx.Var) []int64 {
 	return out
 }
 
-// residualHolds checks the residual constraint set under m.
-func (s *state) residualHolds(m symx.Model) bool {
-	for _, c := range s.pending {
-		ok, def := c.Holds(m)
-		if !def || !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// enumerate tries the cross product of per-variable candidates.
-func (s *state) enumerate(vars []symx.Var) (symx.Model, bool) {
+// enumerate tries the cross product of per-variable candidates, leaving
+// the model it finds in k's try.
+func (s *state) enumerate(vars []symx.Var, k *kernel) bool {
 	if len(vars) == 0 {
-		return nil, s.residualHolds(symx.Model{})
+		return k.holds()
 	}
 	cands := make([][]int64, len(vars))
 	total := 1
@@ -1043,24 +1117,20 @@ func (s *state) enumerate(vars []symx.Var) (symx.Model, bool) {
 	if total > s.opt.MaxEnum {
 		// Too many combinations: sample the lattice diagonally instead of
 		// enumerating; the randomized phase still follows.
-		return nil, false
+		return false
 	}
 	idx := make([]int, len(vars))
-	m := make(symx.Model, len(vars))
+	try := k.slots[:len(vars)]
 	for {
 		if s.interruptNow(s.tried) {
-			return nil, false
+			return false
 		}
 		s.tried++
-		for i, v := range vars {
-			m[v] = cands[i][idx[i]]
+		for i := range try {
+			try[i] = cands[i][idx[i]]
 		}
-		if s.residualHolds(m) {
-			out := make(symx.Model, len(m))
-			for k, v := range m {
-				out[k] = v
-			}
-			return out, true
+		if k.holds() {
+			return true
 		}
 		// Odometer increment.
 		i := 0
@@ -1073,25 +1143,36 @@ func (s *state) enumerate(vars []symx.Var) (symx.Model, bool) {
 		}
 		if i == len(idx) {
 			s.enumComplete = true
-			return nil, false
+			return false
 		}
 	}
 }
 
-// randomized samples models at random within intervals.
-func (s *state) randomized(vars []symx.Var) (symx.Model, bool) {
+// rngs holds random sources for the randomized phase, which reseeds the
+// one it takes: a source is 4.9 KB, allocated once per process thread
+// rather than once per search.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
+// randomized samples models at random within intervals, leaving the
+// model it finds in k's try.
+func (s *state) randomized(vars []symx.Var, k *kernel) bool {
 	if len(vars) == 0 {
-		return nil, false
+		return false
 	}
-	rng := rand.New(rand.NewSource(s.opt.Seed))
-	m := make(symx.Model, len(vars))
-	for try := 0; try < s.opt.RandomTries; try++ {
-		if s.interruptNow(try) {
-			return nil, false
+	rng := rngs.Get().(*rand.Rand)
+	defer rngs.Put(rng)
+	rng.Seed(s.opt.Seed)
+	ivs := make([]interval, len(vars))
+	for i, v := range vars {
+		ivs[i] = s.intervals.at(v)
+	}
+	try := k.slots[:len(vars)]
+	for t := 0; t < s.opt.RandomTries; t++ {
+		if s.interruptNow(t) {
+			return false
 		}
 		s.tried++
-		for _, v := range vars {
-			iv := s.intervals.at(v)
+		for i, iv := range ivs {
 			var x int64
 			switch {
 			case iv.hasLo && iv.hasHi:
@@ -1103,35 +1184,25 @@ func (s *state) randomized(vars []symx.Var) (symx.Model, bool) {
 				} else {
 					x = int64(rng.Uint64())
 				}
-			case try%2 == 0:
+			case t%2 == 0:
 				// Small values dominate real workloads.
 				x = rng.Int63n(1<<16) - 1<<15
 			default:
 				x = int64(rng.Uint64())
 			}
-			m[v] = x
+			try[i] = x
 		}
-		if s.residualHolds(m) {
-			out := make(symx.Model, len(m))
-			for k, v := range m {
-				out[k] = v
-			}
-			return out, true
+		if k.holds() {
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
-// exhausted reports whether the enumeration covered the entire (finite)
-// solution space, making a negative result a sound Unsat.
-func (s *state) exhausted(vars []symx.Var) bool {
-	if !s.enumComplete {
-		return false
-	}
-	// Enumeration is complete only if every variable's candidate set
-	// covered its entire domain, i.e. the variable has a finite interval
-	// fully contained in its candidates. We approximate: singleton or
-	// two-point intervals only.
+// finite reports whether every variable has a two-sided interval of at
+// most two values, which its candidates cover: the only residue a
+// complete enumeration refutes.
+func (s *state) finite(vars []symx.Var) bool {
 	for _, v := range vars {
 		iv := s.intervals.at(v)
 		if !iv.hasLo || !iv.hasHi {
@@ -1142,6 +1213,12 @@ func (s *state) exhausted(vars []symx.Var) bool {
 		}
 	}
 	return true
+}
+
+// exhausted reports whether the enumeration covered the entire (finite)
+// solution space, making a negative result a sound Unsat.
+func (s *state) exhausted(vars []symx.Var) bool {
+	return s.enumComplete && s.finite(vars)
 }
 
 // model is a Sat verdict's assignment, resolved where it is read. It

@@ -407,6 +407,24 @@ func (s *Snapshot) CheckWith(opt solver.Options, extra []solver.Constraint) solv
 	return s.sess.CheckWith(extra, opt)
 }
 
+// Refute is Check for a caller that reads only whether the verdict is
+// Unsat (solver.Session.ExtendRefute): it advances the session as Check
+// does, but searches only a residue that a search could refute.
+func (s *Snapshot) Refute(opt solver.Options) solver.Result {
+	res, sess := s.sess.ExtendRefute(s.pending, opt)
+	s.sess, s.pending = sess, nil
+	return res
+}
+
+// RefuteWith is CheckWith for a caller that reads only whether the
+// verdict is Unsat, and what propagation forced (solver.Session.RefuteWith).
+func (s *Snapshot) RefuteWith(opt solver.Options, extra []solver.Constraint) solver.Result {
+	if len(s.pending) > 0 {
+		extra = slices.Concat(s.pending, extra)
+	}
+	return s.sess.RefuteWith(extra, opt)
+}
+
 // Fingerprint returns a structural hash of the snapshot's content:
 // per-thread pc/state/registers, the effective memory overlay, the
 // constraint chain, the lock table, and the allocator state. Equal

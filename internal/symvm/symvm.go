@@ -185,12 +185,14 @@ func BackExec(req Req, opt solver.Options) *Result {
 
 	// Pass A: register-only probe to learn forced pre-register bindings
 	// (stack-pointer arithmetic and friends). Only the probe's own
-	// constraints are propagated on top of the post snapshot's session.
+	// constraints are propagated on top of the post snapshot's session;
+	// the probe reads what they force and whether they are Unsat, so it
+	// searches only a residue the search could refute.
 	probe := newExec(req, opt, true, nil, make(map[isa.Reg]symx.Var))
 	if res := probe.run(); res != nil {
 		return res
 	}
-	pr := req.Post.CheckWith(opt, append(probe.postRegCons(), probe.cons...))
+	pr := req.Post.RefuteWith(opt, append(probe.postRegCons(), probe.cons...))
 	if pr.Verdict == solver.Unsat {
 		return &Result{Verdict: Infeasible, Reason: "register state contradiction: " + pr.Reason, SolverCalls: probe.solverCalls + 1}
 	}
