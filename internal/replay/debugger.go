@@ -101,9 +101,10 @@ func NewDebugger(p *prog.Program, syn *core.Synthesized, original *coredump.Dump
 	return d, nil
 }
 
-// Restart rewinds to the suffix start.
+// Restart rewinds to the suffix start. The debugger's machine keeps the
+// default branch ring, as a production run's does.
 func (d *Debugger) Restart() error {
-	v, err := New(d.p, d.syn, Config{Hooks: vm.Hooks{OnAccess: d.onAccess}})
+	v, err := newVM(d.p, d.syn, Config{Hooks: vm.Hooks{OnAccess: d.onAccess}}, 0)
 	if err != nil {
 		return err
 	}
