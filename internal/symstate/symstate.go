@@ -88,6 +88,10 @@ type Snapshot struct {
 	threads map[int]*ThreadState  // thread mutations; nil entry = deleted
 	locks   map[uint32]int        // lock-table writes made by this layer
 	lockDel map[uint32]bool       // lock-table deletions made by this layer
+	// lockUp is the nearest ancestor layer that held a lock-table write
+	// or deletion when this layer forked from its parent; lock reads skip
+	// the layers between, which hold none.
+	lockUp *Snapshot
 
 	// tids holds the live thread ids in ascending order: the parent's
 	// slice, until this layer deletes a thread. Nothing writes a slice in
@@ -156,10 +160,15 @@ func FromDump(d *coredump.Dump, heapBase uint32, pool *symx.Pool) *Snapshot {
 // child sees every constraint s holds now; constraints appended to s later
 // are invisible to the child.
 func (s *Snapshot) Clone() *Snapshot {
+	lockUp := s.lockUp
+	if len(s.locks) > 0 || len(s.lockDel) > 0 {
+		lockUp = s
+	}
 	return &Snapshot{
 		Pool:     s.Pool,
 		Base:     s.Base,
 		parent:   s,
+		lockUp:   lockUp,
 		tids:     s.tids,
 		sess:     s.sess,
 		pending:  slices.Clip(s.pending),
@@ -298,7 +307,7 @@ func (s *Snapshot) MaxThreadID() int {
 
 // LockOwner reports whether mutex a is held at this point, and by whom.
 func (s *Snapshot) LockOwner(a uint32) (int, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
+	for cur := s; cur != nil; cur = cur.lockUp {
 		if cur.lockDel[a] {
 			return 0, false
 		}
@@ -348,7 +357,7 @@ func (s *Snapshot) ForEachLock(f func(a uint32, owner int)) {
 		held  bool
 	}
 	seen := make(map[uint32]entry)
-	for cur := s; cur != nil; cur = cur.parent {
+	for cur := s; cur != nil; cur = cur.lockUp {
 		for a := range cur.lockDel {
 			if _, ok := seen[a]; !ok {
 				seen[a] = entry{}
