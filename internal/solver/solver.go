@@ -418,8 +418,9 @@ func (s *Session) extend(added []Constraint, opt Options, keep, refute bool) (Re
 		child.unsat, child.reason = true, res.Reason
 	} else {
 		if !refute && !st.interrupted && st.rounds <= maxRounds {
-			// The search's own outcome, before the recheck: a check that
-			// adds nothing rechecks only the residue, which it satisfies.
+			// The search's outcome, before the recheck: a check that adds
+			// nothing searches the same residue and rechecks only it, as
+			// remembered does.
 			child.known, child.verdict, child.reason, child.tried = true, out.Verdict, out.Reason, st.tried
 			if out.model != nil {
 				child.search = out.model.search
@@ -586,10 +587,7 @@ func (s *state) solve(refute bool) Result {
 		return Result{Verdict: Unknown, Reason: "not searched", PropagationRounds: s.rounds}
 	}
 	k := compile(s.pending, vars)
-	if ok := s.enumerate(vars, k); ok {
-		return Result{Verdict: Sat, model: s.model(k.model(vars)), PropagationRounds: s.rounds, ModelsTried: s.tried}
-	}
-	if ok := s.randomized(vars, k); ok {
+	if s.enumerate(vars, k) || s.randomized(vars, k) {
 		return Result{Verdict: Sat, model: s.model(k.model(vars)), PropagationRounds: s.rounds, ModelsTried: s.tried}
 	}
 	if s.interrupted {
