@@ -69,7 +69,10 @@ func compile(cs []Constraint, vars []symx.Var) *kernel {
 }
 
 // holds reports whether every constraint holds under the try: it is
-// Constraint.Holds of each, a division or modulo by zero failing.
+// Constraint.Holds of each, a division or modulo by zero failing. It
+// repeats symx's operator semantics inline because it is the search's
+// innermost loop, where a call per operator would cost more than the
+// operator; TestKernelMatchesHolds holds the two together.
 func (k *kernel) holds() bool {
 	s := k.slots
 	for _, in := range k.code {
