@@ -1147,8 +1147,9 @@ func (s *state) enumerate(vars []symx.Var, k *kernel) bool {
 }
 
 // rngs holds random sources for the randomized phase, which reseeds the
-// one it takes: a source is 4.9 KB, allocated once per process thread
-// rather than once per search.
+// one it takes (the same draws as a fresh source of that seed): a source
+// is 4.9 KB, which the pool reuses across searches instead of allocating
+// one per search.
 var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
 // randomized samples models at random within intervals, leaving the
