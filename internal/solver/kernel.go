@@ -29,9 +29,16 @@ type instr struct {
 // opTest is the first test opcode, past every symx operator.
 const opTest = 1 + uint8(symx.OpLe)
 
-// compile flattens cs over vars, which are in ascending order.
+// compile flattens cs over vars, which are in ascending order. Of the n
+// nodes of cs, each takes at most one slot, and each operator and each
+// constraint one instruction: at most n-len(cs), since a constraint has
+// two leaves at least.
 func compile(cs []Constraint, vars []symx.Var) *kernel {
-	k := &kernel{slots: make([]int64, len(vars), 2*len(vars)+8)}
+	n := 0
+	for _, c := range cs {
+		n += c.L.Size() + c.R.Size()
+	}
+	k := &kernel{slots: make([]int64, len(vars), len(vars)+n), code: make([]instr, 0, n-len(cs))}
 	zero := int32(-1)
 	slot := func(x int64) int32 {
 		k.slots = append(k.slots, x)
