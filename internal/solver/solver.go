@@ -378,7 +378,7 @@ func (s *Session) RefuteWith(added []Constraint, opt Options) Result {
 
 // ExtendRefute is Extend for a caller that reads only whether the verdict
 // is Unsat, searching as RefuteWith does. Its child session is Extend's,
-// but remembers no outcome.
+// but it does not remember this check's outcome.
 func (s *Session) ExtendRefute(added []Constraint, opt Options) (Result, *Session) {
 	return s.extend(added, opt, true, true)
 }
