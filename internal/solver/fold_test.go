@@ -446,11 +446,12 @@ func TestSessionFoldMatchesCheck(t *testing.T) {
 }
 
 // TestFoldedSessionConcurrent extends one deep, folded session from 8
-// goroutines at once. Each checks a step of its own and then extends a
-// chain of 40 steps from the session, long enough to fold on the way,
-// and holds every result to the one a lone caller got. Run it under
-// -race: a fold must build new maps, because the forks of one session
-// share its base.
+// goroutines at once. Each checks a step of its own and a check that
+// adds nothing, which reads the session's remembered outcome, and then
+// extends a chain of 40 steps from the session, long enough to fold on
+// the way, and holds every result to the one a lone caller got. Run it
+// under -race: a fold must build new maps, because the forks of one
+// session share its base.
 func TestFoldedSessionConcurrent(t *testing.T) {
 	g := newChainGen(31)
 	sess := NewSession()
@@ -497,6 +498,9 @@ func TestFoldedSessionConcurrent(t *testing.T) {
 			j := &jobs[i]
 			if err := sameResult(sess.CheckWith(j.chain[0], Options{}), j.want[0], j.nvars, nil); err != nil {
 				t.Errorf("goroutine %d: check: %v", i, err)
+			}
+			if err := sameAsFresh(sess, j.nvars); err != nil {
+				t.Errorf("goroutine %d: check that adds nothing: %v", i, err)
 			}
 			js := sess
 			for k, cs := range j.chain {
