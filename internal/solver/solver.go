@@ -369,8 +369,9 @@ func (s *Session) Extend(added []Constraint, opt Options) (Result, *Session) {
 // verdict is Unsat: it propagates as CheckWith does, but searches only a
 // residue whose every variable has a two-sided interval of at most two
 // values, the only residue a search can refute. Any other residue is
-// Unknown, "not searched". Its Unsat verdicts and their reasons, Forced
-// and NewlyForced are CheckWith's.
+// Unknown, "not searched", unless nothing is added to a session that
+// remembers an outcome, which it returns as CheckWith does. Its Unsat
+// verdicts and their reasons, Forced and NewlyForced are CheckWith's.
 func (s *Session) RefuteWith(added []Constraint, opt Options) Result {
 	res, _ := s.extend(added, opt, false, true)
 	return res
