@@ -101,10 +101,9 @@ func NewDebugger(p *prog.Program, syn *core.Synthesized, original *coredump.Dump
 	return d, nil
 }
 
-// Restart rewinds to the suffix start. The debugger's machine keeps the
-// default branch ring, as a production run's does.
+// Restart rewinds to the suffix start.
 func (d *Debugger) Restart() error {
-	v, err := newVM(d.p, d.syn, Config{Hooks: vm.Hooks{OnAccess: d.onAccess}}, 0)
+	v, err := New(d.p, d.syn, Config{Hooks: vm.Hooks{OnAccess: d.onAccess}})
 	if err != nil {
 		return err
 	}

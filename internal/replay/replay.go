@@ -50,18 +50,14 @@ type Config struct {
 }
 
 // New builds the replay VM for a synthesized suffix without running it;
-// fix verification drives it step by step. The VM runs on a Clone of the
-// pre-state, which copies only the pages the pre-state owns and shares
-// the dump's: the checked replay and its heap-fault fallback both start
-// from the same pre-state, and a replay pays for the pages it writes.
-// The VM keeps no branch ring: a replay follows a schedule and never
-// captures a dump, the ring's only reader.
+// the debugger and fix verification drive it step by step. The VM runs
+// on a Clone of the pre-state, which copies only the pages the pre-state
+// owns and shares the dump's: the checked replay and its heap-fault
+// fallback both start from the same pre-state, and a replay pays for the
+// pages it writes. The VM keeps no branch ring: neither Run, the
+// debugger nor fix verification ever captures a dump, the ring's only
+// reader.
 func New(p *prog.Program, syn *core.Synthesized, cfg Config) (*vm.VM, error) {
-	return newVM(p, syn, cfg, -1)
-}
-
-// newVM is New with the branch ring's capacity (vm.Config.LBRSize).
-func newVM(p *prog.Program, syn *core.Synthesized, cfg Config, lbrSize int) (*vm.VM, error) {
 	st := vm.State{
 		Mem:      syn.PreMem.Clone(),
 		Locks:    syn.PreLocks,
@@ -83,7 +79,7 @@ func newVM(p *prog.Program, syn *core.Synthesized, cfg Config, lbrSize int) (*vm
 	vcfg := vm.Config{
 		Inputs:    inputs,
 		CheckHeap: cfg.CheckHeap,
-		LBRSize:   lbrSize,
+		LBRSize:   -1,
 		Hooks:     cfg.Hooks,
 	}
 	return vm.NewFromState(p, vcfg, st)
