@@ -47,7 +47,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"res/internal/symx"
@@ -1147,21 +1146,13 @@ func (s *state) enumerate(vars []symx.Var, k *kernel) bool {
 	}
 }
 
-// rngs holds random sources for the randomized phase, which reseeds the
-// one it takes (the same draws as a fresh source of that seed): a source
-// is 4.9 KB, which the pool reuses across searches instead of allocating
-// one per search.
-var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
-
 // randomized samples models at random within intervals, leaving the
 // model it finds in k's try.
 func (s *state) randomized(vars []symx.Var, k *kernel) bool {
 	if len(vars) == 0 {
 		return false
 	}
-	rng := rngs.Get().(*rand.Rand)
-	defer rngs.Put(rng)
-	rng.Seed(s.opt.Seed)
+	rng := rand.New(rand.NewSource(s.opt.Seed))
 	ivs := make([]interval, len(vars))
 	for i, v := range vars {
 		ivs[i] = s.intervals.at(v)
